@@ -8,7 +8,8 @@ Command shape:
 
 Exit codes: 0 when every gated verdict holds (the documented behaviour,
 including the model failures the scenarios are built to demonstrate, was
-reproduced), 1 when some gated verdict differs, 2 for usage errors, 3 when
+reproduced), 1 when some gated verdict differs, 2 for usage errors
+(including non-finite angles and grids of more than 1,000,000 points), 3 when
 the output path cannot be written.  Identical invocations produce
 byte-identical output.  BELLCHECK_SEED overrides the default seed when
 --seed is absent.  Angles are radians; CSV is comma-separated, UTF-8, LF.
@@ -57,6 +58,8 @@ def _parse_angles(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ValueError("expected START:STOP:STEP")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("START, STOP and STEP must be finite")
     if step <= 0.0:
         raise ValueError("STEP must be positive")
     if stop < start:

@@ -11,16 +11,19 @@ and the pseudoscalar I squares to -1 and commutes with everything.  The
 cyclic bivector ordering is chosen so that multiplication by I carries
 ex -> ey ez, ey -> ez ex, ez -> ex ey without extra signs.
 
-Products are driven by an 8x8 sign-and-index table built once from integer
-blade arithmetic, so multivectors with coefficients in {-1, 0, +1} multiply
-exactly; nothing here depends on floating-point rearrangement.
+Products are driven by one table of (i, j, k, sign) terms built once from
+integer blade arithmetic, with the inner and outer products as grade masks
+on it.  `batch_product` applies the same terms in the same order to (N, 8)
+coefficient arrays, so a grid is one pass with the scalar loop's sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 Vec3 = tuple[float, float, float]
 
@@ -36,25 +39,19 @@ COEFF_TOL = 1e-12
 
 
 def _sort_with_sign(indices: list[int]) -> tuple[tuple[int, ...], int]:
-    """Bubble-sort generator indices, tracking the anticommutation sign and
-    contracting adjacent equal generators (metric +1)."""
-    sign = 1
-    work = list(indices)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(work) - 1:
-            if work[i] == work[i + 1]:
-                del work[i + 1], work[i]
-                changed = True
-            elif work[i] > work[i + 1]:
-                work[i], work[i + 1] = work[i + 1], work[i]
-                sign = -sign
-                changed = True
-                i += 1
-            else:
-                i += 1
+    """Sort generator indices by adjacent swaps, tracking the anticommutation
+    sign and contracting adjacent equal generators (metric +1)."""
+    sign, work, i = 1, list(indices), 0
+    while i < len(work) - 1:
+        if work[i] == work[i + 1]:
+            del work[i:i + 2]
+            i = max(i - 1, 0)
+        elif work[i] > work[i + 1]:
+            work[i], work[i + 1] = work[i + 1], work[i]
+            sign = -sign
+            i = max(i - 1, 0)
+        else:
+            i += 1
     return tuple(work), sign
 
 
@@ -64,21 +61,27 @@ def _build_product_table() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
         canon, sign = _sort_with_sign(list(blade))
         # e_blade = sign * e_canon, hence e_canon = sign * e_blade.
         canon_to_basis[canon] = (idx, sign)
-
-    index_rows, sign_rows = [], []
-    for bi in _BLADES:
-        idx_row, sgn_row = [], []
-        for bj in _BLADES:
-            canon, sign = _sort_with_sign(list(bi) + list(bj))
-            k, adjust = canon_to_basis[canon]
-            idx_row.append(k)
-            sgn_row.append(sign * adjust)
-        index_rows.append(tuple(idx_row))
-        sign_rows.append(tuple(sgn_row))
-    return tuple(index_rows), tuple(sign_rows)
+    rows = [[_sort_with_sign(list(bi) + list(bj)) for bj in _BLADES] for bi in _BLADES]
+    index = tuple(tuple(canon_to_basis[canon][0] for canon, _ in row) for row in rows)
+    sign = tuple(tuple(s * canon_to_basis[canon][1] for canon, s in row) for row in rows)
+    return index, sign
 
 
 PRODUCT_INDEX, PRODUCT_SIGN = _build_product_table()
+
+# The same table as one (i, j, k, sign) term per blade pair, e_i e_j = sign e_k.
+PRODUCT_TERMS = tuple((i, j, PRODUCT_INDEX[i][j], PRODUCT_SIGN[i][j])
+                      for i in range(8) for j in range(8))
+
+# The terms each product keeps, by the grades r, s of the factors and the
+# grade of the result: all of them, grade |r - s| (inner) or r + s (outer).
+GRADE_MASKS = {
+    "geometric": (True,) * len(PRODUCT_TERMS),
+    "dot": tuple(GRADES[k] == abs(GRADES[i] - GRADES[j]) for i, j, k, _ in PRODUCT_TERMS),
+    "wedge": tuple(GRADES[k] == GRADES[i] + GRADES[j] for i, j, k, _ in PRODUCT_TERMS),
+}
+_TERMS = {name: tuple(t for t, keep in zip(PRODUCT_TERMS, mask) if keep)
+          for name, mask in GRADE_MASKS.items()}
 
 
 @dataclass(frozen=True)
@@ -169,11 +172,7 @@ class Multivector:
     def render(self) -> str:
         """Debug rendering: "<coeff>·<blade>" terms in basis order, 12
         significant digits, zero terms omitted, all-zero printed as "0"."""
-        parts = []
-        for coeff, label in zip(self.coeffs, BASIS_LABELS):
-            if coeff == 0.0:
-                continue
-            parts.append((coeff, label))
+        parts = [(c, label) for c, label in zip(self.coeffs, BASIS_LABELS) if c != 0.0]
         if not parts:
             return "0"
         out = []
@@ -201,21 +200,19 @@ I_BLADE = Multivector.pseudoscalar(1.0)
 BASIS_BLADES = (ONE, E_X, E_Y, E_Z, E_XY, E_YZ, E_ZX, I_BLADE)
 
 
-def geometric_product(x: Multivector, y: Multivector) -> Multivector:
+def _product(x: Multivector, y: Multivector, product: str) -> Multivector:
     xc, yc = x.coeffs, y.coeffs
     acc = [0.0] * 8
-    for i in range(8):
+    for i, j, k, sign in _TERMS[product]:
         xi = xc[i]
-        if xi == 0.0:
-            continue
-        idx_row = PRODUCT_INDEX[i]
-        sgn_row = PRODUCT_SIGN[i]
-        for j in range(8):
-            yj = yc[j]
-            if yj == 0.0:
-                continue
-            acc[idx_row[j]] += sgn_row[j] * xi * yj
+        yj = yc[j]
+        if xi != 0.0 and yj != 0.0:
+            acc[k] += sign * xi * yj
     return Multivector(tuple(acc))
+
+
+def geometric_product(x: Multivector, y: Multivector) -> Multivector:
+    return _product(x, y, "geometric")
 
 
 def grade_project(x: Multivector, k: int) -> Multivector:
@@ -229,41 +226,30 @@ def dot(x: Multivector, y: Multivector) -> Multivector:
     For a trivector m and a vector n this is the full product m n (a pure
     bivector), which is how the hidden-variable observable m . n is formed.
     """
-    xc, yc = x.coeffs, y.coeffs
-    acc = [0.0] * 8
-    for i in range(8):
-        xi = xc[i]
-        if xi == 0.0:
-            continue
-        gi = GRADES[i]
-        for j in range(8):
-            yj = yc[j]
-            if yj == 0.0:
-                continue
-            k = PRODUCT_INDEX[i][j]
-            if GRADES[k] == abs(gi - GRADES[j]):
-                acc[k] += PRODUCT_SIGN[i][j] * xi * yj
-    return Multivector(tuple(acc))
+    return _product(x, y, "dot")
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
     """Grade-raising outer product: keep the grade-(r + s) part per blade
     pair; antisymmetric on vectors."""
-    xc, yc = x.coeffs, y.coeffs
-    acc = [0.0] * 8
-    for i in range(8):
-        xi = xc[i]
-        if xi == 0.0:
-            continue
-        gi = GRADES[i]
-        for j in range(8):
-            yj = yc[j]
-            if yj == 0.0:
-                continue
-            k = PRODUCT_INDEX[i][j]
-            if GRADES[k] == gi + GRADES[j]:
-                acc[k] += PRODUCT_SIGN[i][j] * xi * yj
-    return Multivector(tuple(acc))
+    return _product(x, y, "wedge")
+
+
+def batch_product(x, y, product: str = "geometric") -> np.ndarray:
+    """Row-wise `product` ("geometric", "dot" or "wedge") of (N, 8) arrays,
+    an (8,) row broadcasting; terms are added in the scalar loop's order,
+    so each row equals the scalar product bit for bit when finite."""
+    if product not in _TERMS:
+        raise ValueError(f"product must be one of {tuple(_TERMS)}")
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if x.ndim != 2 or x.shape[1] != 8:
+        raise ValueError(f"expected (N, 8) coefficient arrays, got shape {x.shape}")
+    acc = np.zeros(x.shape)
+    live_x, live_y = x.any(axis=0), y.any(axis=0)
+    for i, j, k, sign in _TERMS[product]:
+        if live_x[i] and live_y[j]:
+            acc[:, k] += sign * x[:, i] * y[:, j]
+    return acc
 
 
 def dual(x: Multivector) -> Multivector:
@@ -283,9 +269,22 @@ def unit_vector(components: Sequence[float]) -> Vec3:
     """Validate a 3-vector as unit length within 1e-12 and return a tuple."""
     x, y, z = (float(c) for c in components)
     norm = math.sqrt(x * x + y * y + z * z)
-    if abs(norm - 1.0) > UNIT_TOL:
+    if not abs(norm - 1.0) <= UNIT_TOL:
         raise ValueError(f"vector {components!r} has norm {norm!r}, expected 1")
     return (x, y, z)
+
+
+def unit_vectors(components) -> np.ndarray:
+    """Batched `unit_vector`: the same norm test on each row of an (N, 3) array."""
+    v = np.asarray(components, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) array of vectors, got shape {v.shape}")
+    norms = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
+    if bad.size:
+        row = tuple(v[bad[0]].tolist())
+        raise ValueError(f"vector {row!r} has norm {float(norms[bad[0]])!r}, expected 1")
+    return v
 
 
 def normalized(components: Sequence[float]) -> Vec3:

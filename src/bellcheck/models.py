@@ -20,16 +20,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 
-from .clifford import Multivector, I_BLADE, dot, geometric_product, unit_vector, Vec3
+from .clifford import (
+    Multivector,
+    Vec3,
+    batch_product,
+    dot,
+    geometric_product,
+    unit_vector,
+    unit_vectors,
+)
 
 NATURAL = 1
 FLIPPED = -1
 
 DIRECTION_TAGS = ("z", "x")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,15 @@ def observable_value(meter: MeterModel, n: Vec3, mu: HiddenState) -> Multivector
     return meter.def_sign * reading
 
 
+def batch_observable_value(meter: MeterModel, n, mu: HiddenState) -> np.ndarray:
+    """`observable_value` for each row of an (N, 3) array of unit directions,
+    as (N, 8) coefficients equal bit for bit to the scalar readings."""
+    n = unit_vectors(n)
+    vectors = np.zeros((len(n), 8))
+    vectors[:, 1:4] = n
+    return meter.def_sign * batch_product(mu.as_multivector().coeffs, vectors, "dot")
+
+
 def _leading_sign(n: Vec3) -> int:
     for component in n:
         if component != 0.0:
@@ -110,12 +129,17 @@ def pair_product(meter_a: MeterModel, meter_b: MeterModel,
                              observable_value(meter_b, b, mu))
 
 
-def expectation_over_mu(f: Callable[[HiddenState], Multivector]) -> Multivector:
-    """Exact average of f over the two hidden states, uniformly weighted."""
-    return (f(MU_PLUS) + f(MU_MINUS)) / 2.0
+def batch_pair_product(meter_a: MeterModel, meter_b: MeterModel,
+                       a, b, mu: HiddenState) -> np.ndarray:
+    """`pair_product` for each row pair of two (N, 3) direction arrays."""
+    return batch_product(batch_observable_value(meter_a, a, mu),
+                         batch_observable_value(meter_b, b, mu))
 
 
-def expectation_over_mu_scalar(f: Callable[[HiddenState], float]) -> float:
+def expectation_over_mu(f: Callable[[HiddenState], T]) -> T:
+    """Exact average of f over the two hidden states, uniformly weighted.
+
+    f may return a Multivector, a float or an array of coefficients."""
     return (f(MU_PLUS) + f(MU_MINUS)) / 2.0
 
 
@@ -123,10 +147,13 @@ def expectation_over_mu_scalar(f: Callable[[HiddenState], float]) -> float:
 class ConstraintAverages:
     """Averages a viable local model must satisfy: the commutator average
     should vanish for all direction pairs and the squared observable should
-    average to +1.  Violations are data for the caller, not errors."""
+    average to +1.  Violations are data for the caller, not errors.
 
-    commutator_avg: Multivector
-    square_avg: Multivector
+    `constraint_check` fills in Multivectors, `batch_constraint_check`
+    (N, 8) coefficient arrays."""
+
+    commutator_avg: Multivector | np.ndarray
+    square_avg: Multivector | np.ndarray
 
 
 def constraint_check(meter_a: MeterModel, meter_b: MeterModel,
@@ -139,6 +166,22 @@ def constraint_check(meter_a: MeterModel, meter_b: MeterModel,
     def square(mu: HiddenState) -> Multivector:
         av = observable_value(meter_a, a, mu)
         return geometric_product(av, av)
+
+    return ConstraintAverages(commutator_avg=expectation_over_mu(commutator),
+                              square_avg=expectation_over_mu(square))
+
+
+def batch_constraint_check(meter_a: MeterModel, meter_b: MeterModel,
+                           a, b) -> ConstraintAverages:
+    """`constraint_check` for each row pair of two (N, 3) direction arrays."""
+    def commutator(mu: HiddenState) -> np.ndarray:
+        av = batch_observable_value(meter_a, a, mu)
+        bv = batch_observable_value(meter_b, b, mu)
+        return batch_product(av, bv) - batch_product(bv, av)
+
+    def square(mu: HiddenState) -> np.ndarray:
+        av = batch_observable_value(meter_a, a, mu)
+        return batch_product(av, av)
 
     return ConstraintAverages(commutator_avg=expectation_over_mu(commutator),
                               square_avg=expectation_over_mu(square))

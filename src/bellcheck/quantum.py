@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .clifford import unit_vectors
+
 Vec3 = tuple[float, float, float]
 
 STATE_TOL = 1e-12
@@ -25,10 +27,13 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 def spin_op(n: Sequence[float]) -> np.ndarray:
     """n . sigma for a unit direction n: Hermitian, traceless, squares to 1."""
-    x, y, z = (float(c) for c in n)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if abs(norm - 1.0) > STATE_TOL:
-        raise ValueError(f"direction {n!r} is not unit length (norm {norm!r})")
+    return batch_spin_op([n])[0]
+
+
+def batch_spin_op(n) -> np.ndarray:
+    """(N, 2, 2) operators n . sigma for an (N, 3) array of unit directions."""
+    n = unit_vectors(n)
+    x, y, z = (n[:, axis, None, None] for axis in range(3))
     return x * PAULI_X + y * PAULI_Y + z * PAULI_Z
 
 
@@ -76,7 +81,24 @@ def expectation(op: np.ndarray, state: np.ndarray) -> float:
 
 def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
     """<psi_s| (a.sigma) x (b.sigma) |psi_s>; analytically -a.b."""
-    return expectation(tensor(spin_op(a), spin_op(b)), singlet_state())
+    return float(batch_singlet_correlation([a], [b])[0])
+
+
+def batch_singlet_correlation(a, b) -> np.ndarray:
+    """`singlet_correlation` for each row pair of two (N, 3) direction
+    arrays, still a dense-state computation: the singlet state is built
+    once per call and the (N, 4, 4) operators (a.sigma) x (b.sigma) are
+    applied to it."""
+    a_ops, b_ops = batch_spin_op(a), batch_spin_op(b)
+    if a_ops.shape != b_ops.shape:
+        raise ValueError("direction arrays must have the same length")
+    # Row-wise Kronecker product, left factor as the slower index.
+    ops = (a_ops[:, :, None, :, None] * b_ops[:, None, :, None, :]).reshape(-1, 4, 4)
+    singlet = singlet_state()
+    values = np.einsum("i,ni->n", singlet.conj(), ops @ singlet)
+    if np.any(np.abs(values.imag) > 1e-10):
+        raise ValueError("expectation of a non-Hermitian operator")
+    return values.real
 
 
 def sequential_probabilities(state: np.ndarray,

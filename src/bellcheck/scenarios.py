@@ -21,23 +21,21 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import quantum
-from .clifford import Multivector, Vec3, unit_vector
+from .clifford import GRADES, ONE, Multivector, Vec3, unit_vectors
 from .models import (
     FLIPPED,
     NATURAL,
     HiddenState,
     MeterModel,
-    MU_STATES,
     UpdateRule,
-    bell_observable,
-    constraint_check,
+    batch_constraint_check,
+    batch_pair_product,
     expectation_over_mu,
-    expectation_over_mu_scalar,
     hemisphere_samples,
     meter_outcome,
     pair_product,
@@ -74,14 +72,26 @@ def _dir_xz(theta: float) -> Vec3:
     return (math.sin(theta), 0.0, math.cos(theta))
 
 
+# Grids are computed in one batched pass, so their size is capped up front.
+MAX_GRID_POINTS = 1_000_000
+
+
 def closed_grid(start: float, stop: float, step: float) -> list[float]:
-    """Grid start + k*step, closed on both ends (no accumulation drift)."""
+    """Grid start + k*step, closed on both ends (no accumulation drift).
+
+    Rejects non-finite bounds and grids of more than MAX_GRID_POINTS points
+    with ValueError before anything is allocated."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("grid bounds and step must be finite")
     if step <= 0.0:
         raise ValueError("step must be positive")
     span = stop - start
     if span < 0.0:
         raise ValueError("stop must not precede start")
-    count = int(math.floor(span / step + 1e-9)) + 1
+    intervals = span / step + 1e-9
+    if intervals >= MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+    count = int(math.floor(intervals)) + 1
     return [start + k * step for k in range(count)]
 
 
@@ -204,18 +214,21 @@ def run_epr_scan(angle_grid: Sequence[float],
     meter_a = MeterModel()
     meter_b = MeterModel(def_sign=1 if meter_b_mode == "original" else -1)
 
+    a_dirs = np.tile(E_Z, (len(angle_grid), 1))
+    b_dirs = np.array([_dir_xz(theta) for theta in angle_grid])
+    averaged_rows = expectation_over_mu(
+        lambda mu: batch_pair_product(meter_a, meter_b, a_dirs, b_dirs, mu))
+    # Multivector.grade(2), row by row.
+    bivector_rows = np.where(np.equal(GRADES, 2), averaged_rows, 0.0)
+    qm_values = quantum.batch_singlet_correlation(a_dirs, b_dirs)
+
     exact: dict = {}
     qm_ref: dict[str, float] = {}
     verdicts: dict[str, bool] = {}
     all_ok = True
-    for theta in angle_grid:
-        b_dir = _dir_xz(theta)
-        averaged = expectation_over_mu(
-            lambda mu: pair_product(meter_a, meter_b, E_Z, b_dir, mu))
-        scalar = averaged.scalar_part
-        bivector = averaged.grade(2)
-        qm = quantum.singlet_correlation(E_Z, b_dir)
-
+    for theta, scalar, bivector_row, qm in zip(angle_grid, averaged_rows[:, 0].tolist(),
+                                               bivector_rows.tolist(), qm_values.tolist()):
+        bivector = Multivector(bivector_row)
         g = f"theta={_fmt(theta)}"
         exact[f"{g}:model_scalar"] = scalar
         exact[f"{g}:model_bivector"] = bivector
@@ -523,7 +536,7 @@ def _algebraic_pair_expectation(ma: MeterModel, mb: MeterModel) -> float:
 
 
 def _outcome_pair_expectation(ma: MeterModel, mb: MeterModel) -> float:
-    return expectation_over_mu_scalar(
+    return expectation_over_mu(
         lambda mu: float(meter_outcome(ma, E_Z, mu) * meter_outcome(mb, E_Z, mu)))
 
 
@@ -666,39 +679,42 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
         "meter_b_def_sign": meter_b.def_sign,
         "n_pairs": len(pairs),
     }
+    a_dirs = unit_vectors([a for a, _ in pairs])
+    b_dirs = unit_vectors([b for _, b in pairs])
+    audit = batch_constraint_check(meter_a, meter_b, a_dirs, b_dirs)
+    # Multivector.is_zero(EXACT_TOL) row by row, on the commutator and on
+    # the square's residual from the scalar 1.
+    commutes = np.all(np.abs(audit.commutator_avg) <= EXACT_TOL, axis=1)
+    normalized_ok = np.all(np.abs(audit.square_avg - ONE.coeffs) <= EXACT_TOL, axis=1)
+    # Prediction straight from the inputs: only parallel pairs commute,
+    # and the normalization target is never met.
+    dot_ab = (a_dirs[:, 0] * b_dirs[:, 0] + a_dirs[:, 1] * b_dirs[:, 1]
+              + a_dirs[:, 2] * b_dirs[:, 2])
+    parallel = np.abs(np.abs(dot_ab) - 1.0) <= FEASIBILITY_TOL
+
     exact: dict = {}
     verdicts: dict[str, bool] = {}
     expected: dict[str, bool] = {}
-    commutator_violations = 0
-    normalization_violations = 0
-    for i, (a, b) in enumerate(pairs):
-        a = unit_vector(a)
-        b = unit_vector(b)
+    for i, (a, b, commutator_row, square_row, ok_c, ok_n, par) in enumerate(zip(
+            a_dirs.tolist(), b_dirs.tolist(), audit.commutator_avg.tolist(),
+            audit.square_avg.tolist(), commutes.tolist(), normalized_ok.tolist(),
+            parallel.tolist())):
+        commutator = Multivector(commutator_row)
+        square = Multivector(square_row)
         g = f"pair[{i}]"
         parameters[g] = (f"a=({_fmt(a[0])}; {_fmt(a[1])}; {_fmt(a[2])}) "
                          f"b=({_fmt(b[0])}; {_fmt(b[1])}; {_fmt(b[2])})")
-        audit = constraint_check(meter_a, meter_b, a, b)
-        exact[f"{g}:commutator"] = audit.commutator_avg
-        exact[f"{g}:commutator_norm"] = audit.commutator_avg.coeff_norm()
-        exact[f"{g}:square"] = audit.square_avg
-        exact[f"{g}:square_scalar"] = audit.square_avg.scalar_part
-
-        commutes = audit.commutator_avg.is_zero(EXACT_TOL)
-        square_residual = audit.square_avg - Multivector.scalar(1.0)
-        normalized_ok = square_residual.is_zero(EXACT_TOL)
-        verdicts[f"{g}:commutator_zero"] = commutes
-        verdicts[f"{g}:normalization_holds"] = normalized_ok
-        # Prediction straight from the inputs: only parallel pairs commute,
-        # and the normalization target is never met.
-        dot_ab = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-        expected[f"{g}:commutator_zero"] = abs(abs(dot_ab) - 1.0) <= FEASIBILITY_TOL
+        exact[f"{g}:commutator"] = commutator
+        exact[f"{g}:commutator_norm"] = commutator.coeff_norm()
+        exact[f"{g}:square"] = square
+        exact[f"{g}:square_scalar"] = square.scalar_part
+        verdicts[f"{g}:commutator_zero"] = ok_c
+        verdicts[f"{g}:normalization_holds"] = ok_n
+        expected[f"{g}:commutator_zero"] = par
         expected[f"{g}:normalization_holds"] = False
-        if not commutes:
-            commutator_violations += 1
-        if not normalized_ok:
-            normalization_violations += 1
 
-    exact["commutator_violations"] = commutator_violations
+    normalization_violations = int(np.count_nonzero(~normalized_ok))
+    exact["commutator_violations"] = int(np.count_nonzero(~commutes))
     exact["normalization_violations"] = normalization_violations
     verdicts["normalization_violated_for_all"] = normalization_violations == len(pairs)
     expected["normalization_violated_for_all"] = True

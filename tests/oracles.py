@@ -69,3 +69,22 @@ def table_product(index, sign, x_coeffs, y_coeffs):
                 continue
             acc[index[i][j]] += sign[i][j] * x_coeffs[i] * y_coeffs[j]
     return tuple(acc)
+
+
+# Matrix products of every blade pair, projected back onto the blades.
+_BLADE_PRODUCTS = [[coeffs_from_matrix(a @ b) for b in BASIS_MATS] for a in BASIS_MATS]
+
+
+def ref_graded_product(x_coeffs, y_coeffs, keep):
+    """Bilinear product that keeps, for each blade pair of grades r and s,
+    the grade-k part of their matrix product where keep(r, s, k) holds.
+
+    keep always true gives the geometric product, k == |r - s| the inner
+    product and k == r + s the outer product."""
+    acc = [0.0] * 8
+    for i, bi in enumerate(BLADES):
+        for j, bj in enumerate(BLADES):
+            for k, c in enumerate(_BLADE_PRODUCTS[i][j]):
+                if keep(len(bi), len(bj), len(BLADES[k])):
+                    acc[k] += x_coeffs[i] * y_coeffs[j] * c
+    return tuple(acc)

@@ -47,6 +47,23 @@ def test_invalid_numeric_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_non_finite_angles_exit_2(slot, value):
+    parts = ["0", "1", "0.5"]
+    parts[slot] = value
+    with pytest.raises(SystemExit) as err:
+        parse(["epr-scan", "--angles", ":".join(parts)])
+    assert err.value.code == 2
+
+
+def test_oversized_grids_exit_2(capsys):
+    assert cli.main(["run", "epr-scan", "--angles", "0:1e12:1e-9"]) == 2
+    assert cli.main(["run", "constraint-check", "--angles", "0:1e12:1e-9"]) == 2
+    assert cli.main(["run", "update-rule-search", "--grid-step", "1e-300"]) == 2
+    assert "more than 1000000 points" in capsys.readouterr().err
+
+
 def test_mc_scenarios_need_samples_for_machine_formats():
     with pytest.raises(SystemExit) as err:
         parse(["chsh", "--samples", "500", "--format", "json"])

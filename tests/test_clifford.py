@@ -19,6 +19,7 @@ from bellcheck.clifford import (
     PRODUCT_SIGN,
     QUATERNION_IMAGES,
     Multivector,
+    batch_product,
     cross_product,
     dot,
     dual,
@@ -28,6 +29,7 @@ from bellcheck.clifford import (
     normalized,
     reverse,
     unit_vector,
+    unit_vectors,
     wedge,
 )
 
@@ -113,6 +115,62 @@ def test_vector_square_is_squared_norm(v):
     mv = Multivector.from_vector(v)
     norm_sq = sum(c * c for c in v)
     assert geometric_product(mv, mv).approx_eq(Multivector.scalar(norm_sq), 1e-12)
+
+
+# -- batched product ---------------------------------------------------------
+
+PRODUCTS = {
+    "geometric": (geometric_product, lambda r, s, k: True),
+    "dot": (dot, lambda r, s, k: k == abs(r - s)),
+    "wedge": (wedge, lambda r, s, k: k == r + s),
+}
+
+# Rows with exact zeros mixed in, so the scalar loop's zero skipping is hit.
+sparse_coeff = st.one_of(st.just(0.0), st.just(-0.0), coeff)
+coeff_rows = st.lists(st.tuples(*([sparse_coeff] * 8)), min_size=1, max_size=4)
+
+
+@given(st.sampled_from(sorted(PRODUCTS)), coeff_rows, coeff_rows)
+@settings(max_examples=200)
+def test_batch_product_matches_scalar_bit_for_bit(product, xs, ys):
+    n = min(len(xs), len(ys))
+    xs, ys = xs[:n], ys[:n]
+    scalar, keep = PRODUCTS[product]
+    rows = batch_product(np.array(xs), np.array(ys), product)
+    assert rows.shape == (n, 8)
+    for x, y, row in zip(xs, ys, rows.tolist()):
+        want = scalar(Multivector(x), Multivector(y)).coeffs
+        assert [c.hex() for c in row] == [c.hex() for c in want]
+        ref = oracles.ref_graded_product(x, y, keep)
+        assert max(abs(a - b) for a, b in zip(row, ref)) <= 1e-12
+
+
+def test_batch_product_broadcasts_a_single_row():
+    vectors = np.array([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
+    rows = batch_product(I_BLADE.coeffs, vectors, "dot")
+    assert rows.tolist() == [list(E_YZ.coeffs), list(E_XY.coeffs)]
+
+
+def test_batch_product_rejects_bad_shapes_and_names():
+    with pytest.raises(ValueError):
+        batch_product(np.zeros((2, 7)), np.zeros((2, 7)))
+    with pytest.raises(ValueError):
+        batch_product(np.zeros((2, 8)), np.zeros((3, 8)))
+    with pytest.raises(ValueError):
+        batch_product(np.zeros((2, 8)), np.zeros((2, 8)), "cross")
+
+
+def test_unit_vectors_apply_the_scalar_norm_test():
+    good = [(0.0, 0.0, 1.0), normalized((1.0, 2.0, 3.0))]
+    assert unit_vectors(good).tolist() == [list(unit_vector(v)) for v in good]
+    for bad in ((0.0, 0.0, 1.001), (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0)):
+        with pytest.raises(ValueError):
+            unit_vector(bad)
+        with pytest.raises(ValueError):
+            unit_vectors([good[0], bad])
+    with pytest.raises(ValueError):
+        unit_vectors([0.0, 0.0, 1.0])
 
 
 # -- grade projection --------------------------------------------------------

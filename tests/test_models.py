@@ -13,6 +13,9 @@ from bellcheck.models import (
     MU_PLUS,
     UpdateRule,
     apply_update,
+    batch_constraint_check,
+    batch_observable_value,
+    batch_pair_product,
     bell_observable,
     constraint_check,
     effective_outcome,
@@ -219,6 +222,45 @@ def test_constraint_check_matches_table_brute_force(rng):
         audit = constraint_check(MeterModel(def_sign=ds_a), MeterModel(def_sign=ds_b), a, b)
         assert audit.commutator_avg.approx_eq(Multivector(tuple(comm_sum)), 1e-12)
         assert audit.square_avg.approx_eq(Multivector(tuple(square_sum)), 1e-12)
+
+
+# -- batched readings ------------------------------------------------------
+
+
+def bits(rows):
+    return [[c.hex() for c in row] for row in np.asarray(rows).tolist()]
+
+
+def test_batched_model_functions_match_scalar_bit_for_bit(rng):
+    a = [random_direction(rng) for _ in range(50)] + [EZ, EX, (0.0, -1.0, 0.0)]
+    b = [random_direction(rng) for _ in range(50)] + [EZ, (-1.0, 0.0, 0.0), EZ]
+    for meter_a, meter_b in ((METER_A, METER_A), (METER_A, METER_B_OPPOSITE)):
+        for mu in (MU_PLUS, MU_MINUS):
+            assert bits(batch_observable_value(meter_b, b, mu)) == bits(
+                [observable_value(meter_b, n, mu).coeffs for n in b])
+            assert bits(batch_pair_product(meter_a, meter_b, a, b, mu)) == bits(
+                [pair_product(meter_a, meter_b, x, y, mu).coeffs for x, y in zip(a, b)])
+        averaged = expectation_over_mu(
+            lambda mu: batch_pair_product(meter_a, meter_b, a, b, mu))
+        assert bits(averaged) == bits([expectation_over_mu(
+            lambda mu: pair_product(meter_a, meter_b, x, y, mu)).coeffs
+            for x, y in zip(a, b)])
+        batched = batch_constraint_check(meter_a, meter_b, a, b)
+        scalar = [constraint_check(meter_a, meter_b, x, y) for x, y in zip(a, b)]
+        assert bits(batched.commutator_avg) == bits([s.commutator_avg.coeffs for s in scalar])
+        assert bits(batched.square_avg) == bits([s.square_avg.coeffs for s in scalar])
+
+
+def test_batched_model_functions_reject_non_unit_directions():
+    bad = [EZ, (0.0, 0.0, 1.001)]
+    with pytest.raises(ValueError):
+        observable_value(METER_A, bad[1], MU_PLUS)
+    with pytest.raises(ValueError):
+        batch_observable_value(METER_A, bad, MU_PLUS)
+    with pytest.raises(ValueError):
+        batch_pair_product(METER_A, METER_A, [EZ, EZ], bad, MU_PLUS)
+    with pytest.raises(ValueError):
+        batch_constraint_check(METER_A, METER_A, bad, [EZ, EZ])
 
 
 # -- Bell's scalar model -------------------------------------------------

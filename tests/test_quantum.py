@@ -95,6 +95,39 @@ def test_singlet_symmetry(rng):
         assert abs(lhs - rhs) <= 1e-12
 
 
+def test_batch_singlet_correlation_matches_scalar_and_minus_dot(rng):
+    a = np.array([random_direction(rng) for _ in range(500)])
+    b = np.array([random_direction(rng) for _ in range(500)])
+    batched = quantum.batch_singlet_correlation(a, b)
+    assert batched.shape == (500,)
+    singlet = quantum.singlet_state()
+    for x, y, value in zip(a, b, batched):
+        # The dense computation written out once per pair, as a reference.
+        dense = quantum.expectation(
+            quantum.tensor(quantum.spin_op(x), quantum.spin_op(y)), singlet)
+        assert abs(value - dense) <= 1e-12
+        assert abs(value - quantum.singlet_correlation(tuple(x), tuple(y))) <= 1e-12
+        assert abs(value + float(x @ y)) <= 1e-12
+
+
+def test_batch_spin_op_matches_scalar(rng):
+    dirs = [random_direction(rng) for _ in range(20)]
+    ops = quantum.batch_spin_op(dirs)
+    for n, op in zip(dirs, ops):
+        x, y, z = n
+        assert np.array_equal(op, x * quantum.PAULI_X + y * quantum.PAULI_Y
+                              + z * quantum.PAULI_Z)
+
+
+def test_batch_oracle_rejects_non_unit_and_mismatched_rows():
+    with pytest.raises(ValueError):
+        quantum.batch_spin_op([EZ, (0.0, 0.0, 2.0)])
+    with pytest.raises(ValueError):
+        quantum.batch_singlet_correlation([EZ, EX], [EX, (0.0, 0.0, 0.5)])
+    with pytest.raises(ValueError):
+        quantum.batch_singlet_correlation([EZ, EX], [EX])
+
+
 # -- sequential measurements -----------------------------------------------
 
 

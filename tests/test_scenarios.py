@@ -40,6 +40,30 @@ def test_closed_grid_point_count_rounds_down():
     assert len(closed_grid(0.0, 3.14159, 0.1)) == 32
 
 
+def test_closed_grid_caps_the_point_count(monkeypatch):
+    # Far over the cap: rejected from the count alone, nothing is built.
+    with pytest.raises(ValueError):
+        closed_grid(0.0, 1e12, 1e-9)
+    with pytest.raises(ValueError):
+        closed_grid(0.0, 1.0, 1e-300)
+    monkeypatch.setattr(scenarios, "MAX_GRID_POINTS", 10)
+    assert len(closed_grid(0.0, 9.0, 1.0)) == 10
+    with pytest.raises(ValueError):
+        closed_grid(0.0, 10.0, 1.0)
+
+
+def test_closed_grid_accepts_the_benchmark_grids():
+    assert scenarios.MAX_GRID_POINTS == 1_000_000
+    assert len(closed_grid(0.0, 3.14159, 0.0001)) == 31_416
+    assert len(closed_grid(0.0, 1.0, 1e-5)) == 100_001
+
+
+def test_closed_grid_rejects_non_finite_bounds():
+    for bounds in ((0.0, math.inf, 1.0), (0.0, 1.0, math.nan), (-math.inf, 0.0, 1.0)):
+        with pytest.raises(ValueError):
+            closed_grid(*bounds)
+
+
 def test_closed_grid_rejects_bad_steps():
     with pytest.raises(ValueError):
         closed_grid(0.0, 1.0, 0.0)
