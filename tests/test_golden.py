@@ -5,8 +5,9 @@ seed 42, as written by
 
     bellcheck run <args> --seed 42 --format json --out tests/golden/<name>.json
 
-Two 31,416-point grids are pinned by the sha256 of their output instead of
-a stored copy.  A refactor must reproduce every report byte for byte.
+The same defaults in `--format table` and `--format csv`, and two
+31,416-point grids, are pinned by the sha256 of their output instead of a
+stored copy.  A refactor must reproduce every report byte for byte.
 """
 
 import hashlib
@@ -31,6 +32,33 @@ DEFAULTS = {
     "bell-toy": ("bell-toy",),
 }
 
+TEXT_DIGESTS = {
+    "table": {
+        "bell-toy": "13f592b452db3f0dea424c817fa0104ec44f4b7e8c3fef776e0b5079c650ecb3",
+        "chsh": "a8dd1572e4f66775e1ebec111a5edb32122de5118e4695a434b94831905fdd03",
+        "constraint-check": "cf8875c0b050e98e8773f4548d4e0369d3e3061c23701041f7bdf40e3260c652",
+        "epr-scan-anticorrelated": "0e74a2b3dff4a27f3aacb1574cf8eba6d5d2b961d3da063b2991c20182f392f6",
+        "epr-scan-original": "a59b69d89a2379b88ba24a1dac7c26132cc2d2f8e297f85e33fc05390ee050c8",
+        "sequential-bell-hemisphere": "18f3641ec74844eeb80a753b40a9fd3d78eef99ca00bf0789cc008f53f005858",
+        "sequential-bell-static": "a37c2ae0a1fd6c7e9c7a43f4d4a322f1705cc45ad92762084c9f2230a41f4fa3",
+        "sequential-clifford": "6278b2fc7cb61c57a55cb0597c9da365539bdd697362580c33bfedf3207e1655",
+        "three-particle": "deeb11862b240fa9a071f359fcb4c03a456eea788e137112d5eff05ab2d6d897",
+        "update-rule-search": "1778442b5d5d2d10f1c0fdd4e8ec25db9fe8a1f3b684e92e63a1d0242efd6758",
+    },
+    "csv": {
+        "bell-toy": "9d30f916f00b63f22313c63bb93f6d33ed51108c0616663e6776f0060a0c30fb",
+        "chsh": "0ada914c8b790a8b21da72ba6d8a9f23f097d2892965a10f2b95fe9c0f931099",
+        "constraint-check": "9018ec96bf89116c027f312734d28ab5fc77e188e4ae646161f3e84b6be1abef",
+        "epr-scan-anticorrelated": "d1fd6d0b0b738f27f0e3daaec43f31a7b29ef9242840d07ee3d54f89e27ba7d8",
+        "epr-scan-original": "9cbf439efef174b69ff8fccd94da452bc6d0a2ffb3d94a36678d1a23a45f2fbf",
+        "sequential-bell-hemisphere": "aa3c6b500e6ba9727fa9cce48ed5fa5ca287f9787dfac673b2f43f6b7cd4cc25",
+        "sequential-bell-static": "e8f376001094ae2eaff6ddbc7402aba3e5f7c582fb5a92f936a331229ed18c5c",
+        "sequential-clifford": "59a27baade455e67e013c83b4273fecd04f4b31c65b41e12f2ed3a8d8096693a",
+        "three-particle": "ccf5bf0a6be26c3216c906e02b567dc9e098a009c0a88c92d7a52d18202aad53",
+        "update-rule-search": "b02e6e655b100132e7f0ea40baef12c2699152e608f9928c4c35ef1d4143abb5",
+    },
+}
+
 LARGE_GRIDS = {
     "epr-scan": (
         ("epr-scan", "--angles", "0:3.14159:0.0001", "--format", "json"),
@@ -53,6 +81,13 @@ def _run(args, tmp_path) -> bytes:
 def test_default_report_matches_golden(name, tmp_path):
     got = _run((*DEFAULTS[name], "--seed", "42", "--format", "json"), tmp_path)
     assert got == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+@pytest.mark.parametrize("fmt", sorted(TEXT_DIGESTS))
+def test_default_text_output_hash(fmt, name, tmp_path):
+    got = _run((*DEFAULTS[name], "--seed", "42", "--format", fmt), tmp_path)
+    assert hashlib.sha256(got).hexdigest() == TEXT_DIGESTS[fmt][name]
 
 
 @pytest.mark.parametrize("name", sorted(LARGE_GRIDS))
