@@ -1,18 +1,29 @@
 """Command-line entry point: scenario selection, seeding, serialization.
 
-Command shape:
+    bellcheck run <scenario> [FLAGS] [--seed S] [--format table|json|csv] [--out PATH]
 
-    bellcheck run <scenario> [--samples N] [--seed S]
-                  [--format table|json|csv] [--angles START:STOP:STEP]
-                  [--mode M] [--flip-prob P] [--grid-step G] [--out PATH]
+REGISTRY lists each scenario/mode (the first mode listed is the default) and
+the FLAGS it reads.  Any other flag is a usage error (exit 2):
+
+    epr-scan [--mode original|anticorrelated]    --angles START:STOP:STEP
+    chsh                                         --samples N
+    sequential [--mode clifford]                 --flip-prob P
+    sequential --mode bell-static|bell-hemisphere  --samples N
+    three-particle                               (none)
+    update-rule-search                           --grid-step G
+    constraint-check                             --angles START:STOP:STEP
+    bell-toy                                     --samples N
 
 Exit codes: 0 when every gated verdict holds (the documented behaviour,
 including the model failures the scenarios are built to demonstrate, was
-reproduced), 1 when some gated verdict differs, 2 for usage errors
-(including non-finite angles and grids of more than 1,000,000 points), 3 when
-the output path cannot be written.  Identical invocations produce
-byte-identical output.  BELLCHECK_SEED overrides the default seed when
---seed is absent.  Angles are radians; CSV is comma-separated, UTF-8, LF.
+reproduced), 1 when some gated verdict differs, 2 for usage errors and
+invalid parameters (including non-finite angles, grids of more than
+1,000,000 points and running out of memory), 3 when the output path cannot
+be written.  Identical invocations produce byte-identical output.
+BELLCHECK_SEED overrides the default seed when --seed is absent.  Angles
+are radians; CSV is comma-separated, UTF-8, LF.  The JSON report does not
+carry the gate designation, so ScenarioReport.from_json_dict gates a report
+read back on every verdict being true.
 """
 
 from __future__ import annotations
@@ -22,20 +33,20 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import scenarios
 from .clifford import Multivector
 from .models import UpdateRule
-from .scenarios import McResult, ScenarioReport, closed_grid
+from .scenarios import ScenarioReport, closed_grid
 
-SCENARIOS = ("epr-scan", "chsh", "sequential", "three-particle",
-             "update-rule-search", "constraint-check", "bell-toy")
 FORMATS = ("table", "json", "csv")
-MC_SCENARIOS = ("chsh", "sequential", "bell-toy")
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 42
 DEFAULT_ANGLES = (0.0, math.pi, math.pi / 36)
+DEFAULT_FLIP_PROB = 0.0
+DEFAULT_GRID_STEP = 0.01
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
 
@@ -51,6 +62,52 @@ class RunConfig:
     mode: str | None
     flip_prob: float
     grid_step: float
+
+
+class Variant(NamedTuple):
+    """One scenario/mode: the flags it reads besides --seed, --format and
+    --out, whether it draws Monte Carlo samples, and how a RunConfig maps
+    to its runner."""
+
+    flags: tuple[str, ...]
+    monte_carlo: bool
+    run: Callable[[RunConfig], ScenarioReport]
+
+
+_EPR_SCAN = Variant(
+    ("--angles", "--mode"), False,
+    lambda c: scenarios.run_epr_scan(closed_grid(*c.angles), c.mode))
+_BELL_SEQUENTIAL = Variant(
+    ("--mode", "--samples"), True,
+    lambda c: scenarios.run_sequential(c.mode, None, c.samples, c.seed))
+
+# (scenario, mode) -> Variant; mode is None for scenarios without --mode, and
+# a scenario's first mode listed is its default.  Runners are looked up as
+# scenarios.<name> at call time.
+REGISTRY: dict[tuple[str, str | None], Variant] = {
+    ("epr-scan", "original"): _EPR_SCAN,
+    ("epr-scan", "anticorrelated"): _EPR_SCAN,
+    ("chsh", None): Variant(
+        ("--samples",), True, lambda c: scenarios.run_chsh(c.samples, c.seed)),
+    ("sequential", "clifford"): Variant(
+        ("--mode", "--flip-prob"), False, lambda c: scenarios.run_sequential(
+            c.mode, UpdateRule.post_z(c.flip_prob), c.samples, c.seed)),
+    ("sequential", "bell-static"): _BELL_SEQUENTIAL,
+    ("sequential", "bell-hemisphere"): _BELL_SEQUENTIAL,
+    ("three-particle", None): Variant(
+        (), False, lambda c: scenarios.run_three_particle_search()),
+    ("update-rule-search", None): Variant(
+        ("--grid-step",), False, lambda c: scenarios.search_update_rules(c.grid_step)),
+    ("constraint-check", None): Variant(
+        ("--angles",), False, lambda c: scenarios.run_constraint_check(
+            [(scenarios.E_Z, (math.sin(t), 0.0, math.cos(t))) for t in closed_grid(*c.angles)])),
+    ("bell-toy", None): Variant(
+        ("--samples",), True, lambda c: scenarios.run_bell_toy(c.samples, c.seed)),
+}
+
+
+def _modes(scenario: str) -> list[str]:
+    return [mode for name, mode in REGISTRY if name == scenario and mode is not None]
 
 
 def _parse_angles(text: str) -> tuple[float, float, float]:
@@ -74,29 +131,39 @@ def parse_args(argv: list[str]) -> RunConfig:
                     "hidden-variable spin models")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run one scenario and emit its report")
-    run.add_argument("scenario", choices=SCENARIOS)
-    run.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                     help="Monte Carlo sample count (default 100000)")
+    names = list(dict.fromkeys(name for name, _ in REGISTRY))
+    run.add_argument("scenario", choices=names)
+    run.add_argument("--samples", type=int, default=None,
+                     help=f"Monte Carlo sample count (default {DEFAULT_SAMPLES})")
     run.add_argument("--seed", type=int, default=None,
                      help="64-bit unsigned RNG seed (default 42, or "
                           f"${SEED_ENV_VAR} when set)")
     run.add_argument("--format", choices=FORMATS, default="table")
     run.add_argument("--angles", default=None, metavar="START:STOP:STEP",
                      help="angle grid in radians (default 0:pi:pi/36)")
+    modes_help = ", ".join(f"{name} {{{'|'.join(_modes(name))}}}"
+                           for name in names if _modes(name))
     run.add_argument("--mode", default=None,
-                     help="scenario-specific variant: epr-scan "
-                          "{original|anticorrelated}, sequential "
-                          "{clifford|bell-static|bell-hemisphere}")
-    run.add_argument("--flip-prob", type=float, default=0.0,
-                     help="post-z flip probability for sequential/clifford")
-    run.add_argument("--grid-step", type=float, default=0.01,
-                     help="probability resolution for update-rule-search")
+                     help=f"variant of {modes_help}; the first listed is the default")
+    run.add_argument("--flip-prob", type=float, default=None,
+                     help="post-z flip probability for sequential/clifford "
+                          f"(default {DEFAULT_FLIP_PROB})")
+    run.add_argument("--grid-step", type=float, default=None,
+                     help="probability resolution for update-rule-search "
+                          f"(default {DEFAULT_GRID_STEP})")
     run.add_argument("--out", default=None, help="write the report here")
 
     ns = parser.parse_args(argv)
 
-    if ns.samples < 0:
-        run.error("--samples must be >= 0")
+    modes = _modes(ns.scenario)
+    if modes and ns.mode is not None and ns.mode not in modes:
+        run.error(f"--mode for {ns.scenario} must be one of {', '.join(modes)}")
+    mode = (ns.mode or modes[0]) if modes else None
+    variant = REGISTRY[ns.scenario, mode]
+    for flag in dict.fromkeys(f for v in REGISTRY.values() for f in v.flags):
+        if getattr(ns, flag[2:].replace("-", "_")) is not None and flag not in variant.flags:
+            run.error(f"{flag} is not read by {ns.scenario}"
+                      + (f" --mode {mode}" if mode else ""))
 
     seed = ns.seed
     if seed is None:
@@ -119,51 +186,26 @@ def parse_args(argv: list[str]) -> RunConfig:
         except ValueError as exc:
             run.error(f"--angles: {exc}")
 
-    if not 0.0 <= ns.flip_prob <= 1.0:
-        run.error("--flip-prob must be in [0, 1]")
-    if ns.grid_step <= 0.0:
-        run.error("--grid-step must be positive")
-
-    if (ns.scenario in MC_SCENARIOS and ns.format != "table"
-            and 0 < ns.samples < 10_000):
+    samples = DEFAULT_SAMPLES if ns.samples is None else ns.samples
+    if variant.monte_carlo and ns.format != "table" and 0 < samples < 10_000:
         run.error("--samples must be >= 10000 for Monte Carlo scenarios "
                   "unless --format table")
 
     return RunConfig(
         scenario=ns.scenario,
-        samples=ns.samples,
+        samples=samples,
         seed=seed,
         format=ns.format,
         angles=angles,
         out=ns.out,
-        mode=ns.mode,
-        flip_prob=ns.flip_prob,
-        grid_step=ns.grid_step,
+        mode=mode,
+        flip_prob=DEFAULT_FLIP_PROB if ns.flip_prob is None else ns.flip_prob,
+        grid_step=DEFAULT_GRID_STEP if ns.grid_step is None else ns.grid_step,
     )
 
 
 def run_scenario(config: RunConfig) -> ScenarioReport:
-    if config.scenario == "epr-scan":
-        grid = closed_grid(*config.angles)
-        mode = config.mode or "original"
-        return scenarios.run_epr_scan(grid, mode)
-    if config.scenario == "chsh":
-        return scenarios.run_chsh(config.samples, config.seed)
-    if config.scenario == "sequential":
-        model = config.mode or "clifford"
-        rule = UpdateRule.post_z(config.flip_prob) if model == "clifford" else None
-        return scenarios.run_sequential(model, rule, config.samples, config.seed)
-    if config.scenario == "three-particle":
-        return scenarios.run_three_particle_search()
-    if config.scenario == "update-rule-search":
-        return scenarios.search_update_rules(config.grid_step)
-    if config.scenario == "constraint-check":
-        grid = closed_grid(*config.angles)
-        pairs = [((0.0, 0.0, 1.0), (math.sin(t), 0.0, math.cos(t))) for t in grid]
-        return scenarios.run_constraint_check(pairs)
-    if config.scenario == "bell-toy":
-        return scenarios.run_bell_toy(config.samples, config.seed)
-    raise ValueError(f"unknown scenario {config.scenario!r}")
+    return REGISTRY[config.scenario, config.mode].run(config)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +224,12 @@ def _text(value) -> str:
 
 
 def _split_groups(report: ScenarioReport):
-    """Partition report entries into per-group rows and scenario-level ones.
+    """Partition report entries into a table of per-group rows and a list
+    of scenario-level (name, text) pairs.
 
-    Keys "<group>:<field>" feed one row per group; plain keys are listed
-    separately.  Field order follows first appearance.
+    Keys "<group>:<field>" feed one row per group.  The table's header row
+    is "point", the fields in order of first appearance, and "verdict" (the
+    group's verdicts that hold); the table is empty when no key is grouped.
     """
     groups: dict[str, dict[str, str]] = {}
     fields: list[str] = []
@@ -213,53 +257,43 @@ def _split_groups(report: ScenarioReport):
         # keep grouped fields as-is; label scenario-level ones as references
         add(key if ":" in key else f"qm.{key}", _text(value))
     for key, value in report.verdicts.items():
-        if ":" in key:
-            group, name = key.split(":", 1)
-            if value:
-                group_verdicts.setdefault(group, []).append(name)
-            else:
-                group_verdicts.setdefault(group, [])
-        else:
+        if ":" not in key:
             plain.append((key, _text(value)))
-    return groups, fields, plain, group_verdicts
+        elif value:
+            group, name = key.split(":", 1)
+            group_verdicts.setdefault(group, []).append(name)
+    if not groups:
+        return [], plain
+    rows = [["point", *fields, "verdict"]]
+    rows += ([group, *(row.get(f, "") for f in fields), ";".join(group_verdicts.get(group, []))]
+             for group, row in groups.items())
+    return rows, plain
 
 
 def emit_csv(report: ScenarioReport) -> str:
-    groups, fields, plain, group_verdicts = _split_groups(report)
-    lines: list[str] = []
-    if groups:
-        lines.append(",".join(["point"] + fields + ["verdict"]))
-        for group, row in groups.items():
-            cells = [group] + [row.get(f, "") for f in fields]
-            cells.append(";".join(group_verdicts.get(group, [])))
-            lines.append(",".join(cells))
-        if plain:
-            lines.append("")
-    if plain or not groups:
+    rows, plain = _split_groups(report)
+    lines = [",".join(row) for row in rows]
+    if rows and plain:
+        lines.append("")
+    if plain or not rows:
         lines.append("name,value")
-        for name, value in plain:
-            lines.append(f"{name},{value}")
+        lines.extend(f"{name},{value}" for name, value in plain)
     return "\n".join(lines) + "\n"
 
 
 def emit_table(report: ScenarioReport) -> str:
-    groups, fields, plain, group_verdicts = _split_groups(report)
+    rows, plain = _split_groups(report)
     lines = [f"scenario: {report.scenario_name}", f"seed: {report.seed}", "parameters:"]
     for key, value in report.parameters.items():
         if isinstance(value, (list, tuple)):
             value = " ".join(_text(v) for v in value)
         lines.append(f"  {key}: {_text(value)}")
 
-    if groups:
-        header = ["point"] + fields + ["verdict"]
-        rows = [header]
-        for group, row in groups.items():
-            rows.append([group] + [row.get(f, "") for f in fields]
-                        + [";".join(group_verdicts.get(group, []))])
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    if rows:
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         lines.append("")
-        for r in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        for row in rows:
+            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
     if plain:
         lines.append("")
@@ -287,10 +321,13 @@ def main(argv: list[str] | None = None) -> int:
     config = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report = run_scenario(config)
+        text = emit_report(report, config)
     except ValueError as exc:
         print(f"bellcheck: error: {exc}", file=sys.stderr)
         return 2
-    text = emit_report(report, config)
+    except MemoryError as exc:
+        print(f"bellcheck: error: out of memory: {exc}", file=sys.stderr)
+        return 2
     if config.out is not None:
         try:
             with open(config.out, "w", encoding="utf-8", newline="\n") as handle:

@@ -6,10 +6,11 @@ exact enumerations; only the continuous lambda of Bell's toy model is
 estimated by seeded Monte Carlo, with standard errors reported.
 
 Verdict booleans record comparison outcomes (does the model match the
-reference?).  Each scenario also fills `expected`, the designation of which
-verdicts are gated and what value they must take for the run to count as
-reproducing the documented behaviour; `gate_passed()` folds that into the
-process exit code.  Verdicts absent from `expected` are informational.
+reference?).  Each runner files every verdict once, together with its gate
+designation: the value it must take for the run to count as reproducing the
+documented behaviour, or INFO when it is informational.  The designations
+collect in `expected`, and `gate_passed()` folds them into the process exit
+code.
 
 Report keys of the form "<group>:<field>" describe one grid point or one
 searched configuration; plain keys are scenario-level values.
@@ -57,6 +58,10 @@ BELL_UPDATE_NOTE = (
     "said to avoid the repeated-measurement defect but is not modelled "
     "here, so that claim is unverified"
 )
+
+
+# Gate designation of a verdict that is reported but not gated.
+INFO = None
 
 
 def _round12(x: float) -> float:
@@ -109,13 +114,27 @@ class ScenarioReport:
     scenario_name: str
     parameters: dict
     exact_results: dict
-    mc_results: dict[str, McResult]
-    qm_reference: dict[str, float]
-    verdicts: dict[str, bool]
-    seed: int
-    # Gating designation: verdict name -> value required for exit code 0.
-    # Not part of the serialized report; names absent here are informational.
-    expected: dict[str, bool] = field(default_factory=dict)
+    mc_results: dict[str, McResult] = field(default_factory=dict)
+    qm_reference: dict[str, float] = field(default_factory=dict)
+    # Filled by _file, one verdict at a time.
+    verdicts: dict[str, bool] = field(default_factory=dict)
+    seed: int = 0
+    # Gating designation, filed only together with a verdict by _file.
+    # Not part of the serialized report.
+    _gates: dict[str, bool] = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def expected(self) -> dict[str, bool]:
+        """Gated verdict name -> value required for exit code 0; names
+        absent here are informational."""
+        return self._gates
+
+    def _file(self, name: str, ok: bool, want: bool | None = True) -> None:
+        """Record verdict `name` with the value `want` it must take for
+        gate_passed(), or with INFO to leave it ungated."""
+        self.verdicts[name] = ok
+        if want is not INFO:
+            self._gates[name] = want
 
     def gate_passed(self) -> bool:
         if not self.expected:
@@ -224,7 +243,18 @@ def run_epr_scan(angle_grid: Sequence[float],
 
     exact: dict = {}
     qm_ref: dict[str, float] = {}
-    verdicts: dict[str, bool] = {}
+    report = ScenarioReport(
+        scenario_name="epr-scan",
+        parameters={
+            "meter_b_mode": meter_b_mode,
+            "meter_a_def_sign": meter_a.def_sign,
+            "meter_b_def_sign": meter_b.def_sign,
+            "n_points": len(angle_grid),
+            "angles": [float(t) for t in angle_grid],
+        },
+        exact_results=exact,
+        qm_reference=qm_ref,
+    )
     all_ok = True
     for theta, scalar, bivector_row, qm in zip(angle_grid, averaged_rows[:, 0].tolist(),
                                                bivector_rows.tolist(), qm_values.tolist()):
@@ -236,29 +266,14 @@ def run_epr_scan(angle_grid: Sequence[float],
         qm_ref[f"{g}:qm"] = qm
         if meter_b_mode == "original":
             ok = abs(scalar - qm) <= EXACT_TOL
-            verdicts[f"{g}:matches_qm"] = ok
+            report._file(f"{g}:matches_qm", ok)
         else:
             ok = abs(scalar - math.cos(theta)) <= EXACT_TOL
-            verdicts[f"{g}:wrong_sign"] = ok
+            report._file(f"{g}:wrong_sign", ok)
         all_ok = all_ok and ok
 
-    verdicts["all_points_as_predicted"] = all_ok
-    return ScenarioReport(
-        scenario_name="epr-scan",
-        parameters={
-            "meter_b_mode": meter_b_mode,
-            "meter_a_def_sign": meter_a.def_sign,
-            "meter_b_def_sign": meter_b.def_sign,
-            "n_points": len(angle_grid),
-            "angles": [float(t) for t in angle_grid],
-        },
-        exact_results=exact,
-        mc_results={},
-        qm_reference=qm_ref,
-        verdicts=verdicts,
-        seed=0,
-        expected={name: True for name in verdicts},
-    )
+    report._file("all_points_as_predicted", all_ok)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +281,17 @@ def run_epr_scan(angle_grid: Sequence[float],
 # ---------------------------------------------------------------------------
 
 CHSH_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)  # a, a', b, b'
+
+
+def _algebraic_pair_expectation(ma: MeterModel, mb: MeterModel,
+                                a: Vec3 = E_Z, b: Vec3 = E_Z) -> float:
+    """Scalar part of the pair product of two meters, averaged over mu."""
+    return expectation_over_mu(
+        lambda mu: pair_product(ma, mb, a, b, mu)).scalar_part
+
+
+def _chsh_combination(e: dict[str, float]) -> float:
+    return abs(e["E_ab"] - e["E_ab2"]) + abs(e["E_a2b"] + e["E_a2b2"])
 
 
 def _static_sign_correlation(a: Vec3, b: Vec3, lams: np.ndarray) -> McResult:
@@ -286,53 +312,37 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     if samples < 0:
         raise ValueError("samples must be >= 0")
     a, a2, b, b2 = (_dir_xz(t) for t in CHSH_ANGLES)
+    pairs = {"E_ab": (a, b), "E_ab2": (a, b2), "E_a2b": (a2, b), "E_a2b2": (a2, b2)}
 
     qm = quantum.chsh_value(a, a2, b, b2)
 
     meter = MeterModel()
-
-    def model_corr(x: Vec3, y: Vec3) -> float:
-        return expectation_over_mu(
-            lambda mu: pair_product(meter, meter, x, y, mu)).scalar_part
-
-    model_chsh = (abs(model_corr(a, b) - model_corr(a, b2))
-                  + abs(model_corr(a2, b) + model_corr(a2, b2)))
+    model_chsh = _chsh_combination({name: _algebraic_pair_expectation(meter, meter, x, y)
+                                    for name, (x, y) in pairs.items()})
 
     tsirelson = 2.0 * math.sqrt(2.0)
-    exact = {"model_scalar_chsh": model_chsh}
-    qm_ref = {"chsh": qm, "local_bound": 2.0, "tsirelson_bound": tsirelson}
-    verdicts = {
-        "qm_chsh_at_tsirelson": abs(qm - tsirelson) <= 1e-9,
-        "model_scalar_chsh_matches_qm": abs(model_chsh - qm) <= EXACT_TOL,
-    }
-    expected = {name: True for name in verdicts}
-
     mc: dict[str, McResult] = {}
-    if samples > 0:
-        rng = np.random.default_rng(seed)
-        terms = {}
-        for name, (x, y) in {
-            "E_ab": (a, b), "E_ab2": (a, b2), "E_a2b": (a2, b), "E_a2b2": (a2, b2),
-        }.items():
-            terms[name] = _static_sign_correlation(x, y, random_unit_vectors(rng, samples))
-            mc[f"bell_static_{name}"] = terms[name]
-        s_est = (abs(terms["E_ab"].estimate - terms["E_ab2"].estimate)
-                 + abs(terms["E_a2b"].estimate + terms["E_a2b2"].estimate))
-        s_se = math.sqrt(sum(t.standard_error ** 2 for t in terms.values()))
-        mc["bell_static_chsh"] = McResult(s_est, s_se, samples)
-        verdicts["bell_static_within_local_bound"] = s_est <= 2.0 + 3.0 * s_se
-        expected["bell_static_within_local_bound"] = True
-
-    return ScenarioReport(
+    report = ScenarioReport(
         scenario_name="chsh",
         parameters={"samples": samples, "angles": list(CHSH_ANGLES)},
-        exact_results=exact,
+        exact_results={"model_scalar_chsh": model_chsh},
         mc_results=mc,
-        qm_reference=qm_ref,
-        verdicts=verdicts,
+        qm_reference={"chsh": qm, "local_bound": 2.0, "tsirelson_bound": tsirelson},
         seed=seed,
-        expected=expected,
     )
+    report._file("qm_chsh_at_tsirelson", abs(qm - tsirelson) <= 1e-9)
+    report._file("model_scalar_chsh_matches_qm", abs(model_chsh - qm) <= EXACT_TOL)
+
+    if samples > 0:
+        rng = np.random.default_rng(seed)
+        terms = {name: _static_sign_correlation(x, y, random_unit_vectors(rng, samples))
+                 for name, (x, y) in pairs.items()}
+        mc.update((f"bell_static_{name}", term) for name, term in terms.items())
+        s_est = _chsh_combination({name: term.estimate for name, term in terms.items()})
+        s_se = math.sqrt(sum(t.standard_error ** 2 for t in terms.values()))
+        mc["bell_static_chsh"] = McResult(s_est, s_se, samples)
+        report._file("bell_static_within_local_bound", s_est <= 2.0 + 3.0 * s_se)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +362,21 @@ def _sequential_qm_refs() -> dict[str, float]:
         "P_zx": p_zx / p_z,
         "P_zxz": p_zxz / p_zx,
     }
+
+
+def _static_posterior(lam0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Static lambdas left after a z-up reading, and after z-up then x-up."""
+    after_z = lam0[lam0[:, 2] >= 0.0]
+    return after_z, after_z[after_z[:, 0] >= 0.0]
+
+
+def _hemisphere_chain(lam0: np.ndarray,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Lambdas redrawn from the measured hemisphere after a z-up reading of
+    lam0, and again after an x-up reading of those."""
+    lam1 = hemisphere_samples(E_Z, 1, rng, int(np.count_nonzero(lam0[:, 2] >= 0.0)))
+    lam2 = hemisphere_samples(E_X, 1, rng, int(np.count_nonzero(lam1[:, 0] >= 0.0)))
+    return lam1, lam2
 
 
 def run_sequential(model: str = "clifford",
@@ -376,9 +401,8 @@ def run_sequential(model: str = "clifford",
     qm_ref = _sequential_qm_refs()
     exact: dict = {}
     mc: dict[str, McResult] = {}
-    verdicts: dict[str, bool] = {}
-    expected: dict[str, bool] = {}
     parameters: dict = {"model": model, "samples": samples}
+    report = ScenarioReport("sequential", parameters, exact, mc, qm_ref, seed=seed)
 
     if model == "clifford":
         if rule is None:
@@ -389,62 +413,38 @@ def run_sequential(model: str = "clifford",
         exact["P_zx"] = 1.0 - p_flip
         m_zz = abs(exact["P_zz"] - qm_ref["P_zz"]) <= EXACT_TOL
         m_zx = abs(exact["P_zx"] - qm_ref["P_zx"]) <= EXACT_TOL
-        verdicts["P_zz_matches_qm"] = m_zz
-        verdicts["P_zx_matches_qm"] = m_zx
-        verdicts["defect_demonstrated"] = not (m_zz and m_zx)
-        expected["defect_demonstrated"] = True
+        report._file("P_zz_matches_qm", m_zz, INFO)
+        report._file("P_zx_matches_qm", m_zx, INFO)
+        report._file("defect_demonstrated", not (m_zz and m_zx))
         qm_ref.pop("P_zxz")
-        return ScenarioReport("sequential", parameters, exact, mc, qm_ref,
-                              verdicts, seed, expected)
+        return report
 
     if samples < 10_000:
         raise ValueError("stochastic models need samples >= 10000")
     parameters["note"] = BELL_UPDATE_NOTE
     rng = np.random.default_rng(seed)
+    static = model == "bell-static"
 
-    if model == "bell-static":
-        # Conditionals over the static posterior region; signs of lambda
-        # components are independent for orthogonal axes, so the first two
-        # are exact by symmetry while the third is pinned to 1.
-        exact["P_zz"] = 1.0
-        exact["P_zx"] = 0.5
-        exact["P_zxz"] = 1.0
-        lam = random_unit_vectors(rng, samples)
-        up_z = lam[:, 2] >= 0.0
-        first = lam[up_z]
-        mc["P_zz"] = _proportion(first[:, 2] >= 0.0)
-        mc["P_zx"] = _proportion(first[:, 0] >= 0.0)
-        both = first[first[:, 0] >= 0.0]
-        mc["P_zxz"] = _proportion(both[:, 2] >= 0.0)
-    else:
-        # Hemisphere redraw around each measured axis.
-        exact["P_zz"] = 1.0
-        exact["P_zx"] = 0.5
-        exact["P_zxz"] = 0.5
-        lam0 = random_unit_vectors(rng, samples)
-        n1 = int(np.count_nonzero(lam0[:, 2] >= 0.0))
-        lam1 = hemisphere_samples(E_Z, 1, rng, n1)
-        mc["P_zz"] = _proportion(lam1[:, 2] >= 0.0)
-        mc["P_zx"] = _proportion(lam1[:, 0] >= 0.0)
-        n2 = int(np.count_nonzero(lam1[:, 0] >= 0.0))
-        lam2 = hemisphere_samples(E_X, 1, rng, n2)
-        mc["P_zxz"] = _proportion(lam2[:, 2] >= 0.0)
+    # Static lambda: signs of lambda components are independent for
+    # orthogonal axes, so the first two conditionals are exact by symmetry
+    # while the third is pinned to 1.  The hemisphere redraw around each
+    # measured axis restores the third to 1/2.
+    exact.update(P_zz=1.0, P_zx=0.5, P_zxz=1.0 if static else 0.5)
+    lam0 = random_unit_vectors(rng, samples)
+    after_z, after_zx = _static_posterior(lam0) if static else _hemisphere_chain(lam0, rng)
+    mc["P_zz"] = _proportion(after_z[:, 2] >= 0.0)
+    mc["P_zx"] = _proportion(after_z[:, 0] >= 0.0)
+    mc["P_zxz"] = _proportion(after_zx[:, 2] >= 0.0)
 
     for name in ("P_zz", "P_zx", "P_zxz"):
-        match_exact = abs(exact[name] - qm_ref[name]) <= EXACT_TOL
+        want = not (static and name == "P_zxz")
         est = mc[name]
-        match_mc = abs(est.estimate - qm_ref[name]) <= 3.0 * est.standard_error
-        verdicts[f"{name}_matches_qm"] = match_exact
-        verdicts[f"{name}_mc_matches_qm"] = match_mc
-        want = not (model == "bell-static" and name == "P_zxz")
-        expected[f"{name}_matches_qm"] = want
-        expected[f"{name}_mc_matches_qm"] = want
-    if model == "bell-static":
-        verdicts["third_measurement_defect"] = not verdicts["P_zxz_matches_qm"]
-        expected["third_measurement_defect"] = True
-
-    return ScenarioReport("sequential", parameters, exact, mc, qm_ref,
-                          verdicts, seed, expected)
+        report._file(f"{name}_matches_qm", abs(exact[name] - qm_ref[name]) <= EXACT_TOL, want)
+        report._file(f"{name}_mc_matches_qm",
+                     abs(est.estimate - qm_ref[name]) <= 3.0 * est.standard_error, want)
+    if static:
+        report._file("third_measurement_defect", not report.verdicts["P_zxz_matches_qm"])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +468,13 @@ def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
 
     grid = closed_grid(0.0, 1.0, grid_step)
     exact: dict = {}
-    verdicts: dict[str, bool] = {}
-    expected: dict[str, bool] = {}
+    report = ScenarioReport(
+        scenario_name="update-rule-search",
+        parameters={"grid_step": grid_step, "n_grid": len(grid),
+                    "targets": "P_zz=1 and P_zx=0.5"},
+        exact_results=exact,
+        qm_reference={"P_zz": 1.0, "P_zx": 0.5},
+    )
     feasible, relaxed_repeat, relaxed_uniform = [], [], []
     for p in grid:
         p_zz = 1.0 - p
@@ -478,8 +483,7 @@ def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
         exact[f"{g}:P_zz"] = p_zz
         exact[f"{g}:P_zx"] = p_zx
         ok = abs(p_zz - 1.0) <= FEASIBILITY_TOL and abs(p_zx - 0.5) <= FEASIBILITY_TOL
-        verdicts[f"{g}:feasible"] = ok
-        expected[f"{g}:feasible"] = False
+        report._file(f"{g}:feasible", ok, False)
         if ok:
             feasible.append(p)
         if abs(p_zz - 1.0) <= FEASIBILITY_TOL and abs(p_zx - 1.0) <= FEASIBILITY_TOL:
@@ -494,24 +498,10 @@ def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
         exact["relaxed_repeat_first"] = relaxed_repeat[0]
     if relaxed_uniform:
         exact["relaxed_uniform_first"] = relaxed_uniform[0]
-    verdicts["feasible_set_empty"] = not feasible
-    verdicts["relaxed_repeat_nonempty"] = bool(relaxed_repeat)
-    verdicts["relaxed_uniform_nonempty"] = bool(relaxed_uniform)
-    expected["feasible_set_empty"] = True
-    expected["relaxed_repeat_nonempty"] = True
-    expected["relaxed_uniform_nonempty"] = True
-
-    return ScenarioReport(
-        scenario_name="update-rule-search",
-        parameters={"grid_step": grid_step, "n_grid": len(grid),
-                    "targets": "P_zz=1 and P_zx=0.5"},
-        exact_results=exact,
-        mc_results={},
-        qm_reference={"P_zz": 1.0, "P_zx": 0.5},
-        verdicts=verdicts,
-        seed=0,
-        expected=expected,
-    )
+    report._file("feasible_set_empty", not feasible)
+    report._file("relaxed_repeat_nonempty", bool(relaxed_repeat))
+    report._file("relaxed_uniform_nonempty", bool(relaxed_uniform))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +518,6 @@ def _assignment_code(meters: Sequence[MeterModel]) -> str:
     ds = "".join("+" if m.def_sign == 1 else "-" for m in meters)
     interp = "".join("N" if m.interp == NATURAL else "F" for m in meters)
     return f"{ds}/{interp}"
-
-
-def _algebraic_pair_expectation(ma: MeterModel, mb: MeterModel) -> float:
-    return expectation_over_mu(
-        lambda mu: pair_product(ma, mb, E_Z, E_Z, mu)).scalar_part
 
 
 def _outcome_pair_expectation(ma: MeterModel, mb: MeterModel) -> float:
@@ -565,8 +550,13 @@ def run_three_particle_search() -> ScenarioReport:
     pair_names = (("E_AB", 0, 1), ("E_AC", 0, 2), ("E_BC", 1, 2))
 
     exact: dict = {}
-    verdicts: dict[str, bool] = {}
-    expected: dict[str, bool] = {}
+    report = ScenarioReport(
+        scenario_name="three-particle",
+        parameters={"pattern": "+-+", "direction": "ez",
+                    "search_space": len(_METER_OPTIONS) ** 3},
+        exact_results=exact,
+        qm_reference=qm_ref,
+    )
 
     visited = 0
     consistent: list[str] = []
@@ -589,12 +579,11 @@ def run_three_particle_search() -> ScenarioReport:
 
         at_plus = tuple(meter_outcome(m, E_Z, HiddenState(1)) for m in meters)
         at_minus = tuple(meter_outcome(m, E_Z, HiddenState(-1)) for m in meters)
-        verdicts[f"{g}:pattern_at_mu_plus"] = at_plus == pattern
-        verdicts[f"{g}:pattern_at_mu_minus"] = at_minus == pattern
-        verdicts[f"{g}:marginals_deterministic"] = (at_plus == pattern and at_minus == pattern)
-        expected[f"{g}:marginals_deterministic"] = False
-        verdicts[f"{g}:consistent"] = ok
-        expected[f"{g}:consistent"] = False
+        report._file(f"{g}:pattern_at_mu_plus", at_plus == pattern, INFO)
+        report._file(f"{g}:pattern_at_mu_minus", at_minus == pattern, INFO)
+        report._file(f"{g}:marginals_deterministic",
+                     at_plus == pattern and at_minus == pattern, False)
+        report._file(f"{g}:consistent", ok, False)
         if ok:
             consistent.append(code)
         key = (total_err, code)
@@ -608,7 +597,7 @@ def run_three_particle_search() -> ScenarioReport:
         alg = _algebraic_pair_expectation(meters[0], meters[1])
         exact[f"{g}:E_AB_alg"] = alg
         ok = abs(alg - qm_ref["control_E_AB"]) <= EXACT_TOL
-        verdicts[f"{g}:consistent"] = ok
+        report._file(f"{g}:consistent", ok, INFO)
         if ok:
             control_consistent += 1
 
@@ -621,10 +610,8 @@ def run_three_particle_search() -> ScenarioReport:
     forced_bc = _algebraic_pair_expectation(forced_b, forced_c)
     exact["forced_E_AC_alg"] = forced_ac
     exact["forced_E_BC_alg"] = forced_bc
-    verdicts["forced_ac_matches_qm"] = abs(forced_ac - qm_ref["E_AC"]) <= EXACT_TOL
-    verdicts["forced_bc_matches_qm"] = abs(forced_bc - qm_ref["E_BC"]) <= EXACT_TOL
-    expected["forced_ac_matches_qm"] = True
-    expected["forced_bc_matches_qm"] = False
+    report._file("forced_ac_matches_qm", abs(forced_ac - qm_ref["E_AC"]) <= EXACT_TOL)
+    report._file("forced_bc_matches_qm", abs(forced_bc - qm_ref["E_BC"]) <= EXACT_TOL, False)
 
     exact["configurations_visited"] = visited
     exact["consistent_assignments"] = len(consistent)
@@ -635,24 +622,10 @@ def run_three_particle_search() -> ScenarioReport:
         exact[f"best_err_{name[2:]}"] = best[2][name]
     exact["best_err_total"] = best[0]
 
-    verdicts["consistent_set_empty"] = not consistent
-    verdicts["control_consistent_nonempty"] = control_consistent > 0
-    verdicts["search_visited_declared_count"] = visited == 64
-    expected["consistent_set_empty"] = True
-    expected["control_consistent_nonempty"] = True
-    expected["search_visited_declared_count"] = True
-
-    return ScenarioReport(
-        scenario_name="three-particle",
-        parameters={"pattern": "+-+", "direction": "ez",
-                    "search_space": len(_METER_OPTIONS) ** 3},
-        exact_results=exact,
-        mc_results={},
-        qm_reference=qm_ref,
-        verdicts=verdicts,
-        seed=0,
-        expected=expected,
-    )
+    report._file("consistent_set_empty", not consistent)
+    report._file("control_consistent_nonempty", control_consistent > 0)
+    report._file("search_visited_declared_count", visited == 64)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +666,12 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
     parallel = np.abs(np.abs(dot_ab) - 1.0) <= FEASIBILITY_TOL
 
     exact: dict = {}
-    verdicts: dict[str, bool] = {}
-    expected: dict[str, bool] = {}
+    report = ScenarioReport(
+        scenario_name="constraint-check",
+        parameters=parameters,
+        exact_results=exact,
+        qm_reference={"commutator_target": 0.0, "square_target": 1.0},
+    )
     for i, (a, b, commutator_row, square_row, ok_c, ok_n, par) in enumerate(zip(
             a_dirs.tolist(), b_dirs.tolist(), audit.commutator_avg.tolist(),
             audit.square_avg.tolist(), commutes.tolist(), normalized_ok.tolist(),
@@ -708,27 +685,14 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
         exact[f"{g}:commutator_norm"] = commutator.coeff_norm()
         exact[f"{g}:square"] = square
         exact[f"{g}:square_scalar"] = square.scalar_part
-        verdicts[f"{g}:commutator_zero"] = ok_c
-        verdicts[f"{g}:normalization_holds"] = ok_n
-        expected[f"{g}:commutator_zero"] = par
-        expected[f"{g}:normalization_holds"] = False
+        report._file(f"{g}:commutator_zero", ok_c, par)
+        report._file(f"{g}:normalization_holds", ok_n, False)
 
     normalization_violations = int(np.count_nonzero(~normalized_ok))
     exact["commutator_violations"] = int(np.count_nonzero(~commutes))
     exact["normalization_violations"] = normalization_violations
-    verdicts["normalization_violated_for_all"] = normalization_violations == len(pairs)
-    expected["normalization_violated_for_all"] = True
-
-    return ScenarioReport(
-        scenario_name="constraint-check",
-        parameters=parameters,
-        exact_results=exact,
-        mc_results={},
-        qm_reference={"commutator_target": 0.0, "square_target": 1.0},
-        verdicts=verdicts,
-        seed=0,
-        expected=expected,
-    )
+    report._file("normalization_violated_for_all", normalization_violations == len(pairs))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -765,34 +729,26 @@ def run_bell_toy(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     mc["hemisphere_mean_transverse"] = _mean(lams[:, 0])
 
     lam0 = random_unit_vectors(rng, samples)
-    first = lam0[lam0[:, 2] >= 0.0]
-    both = first[first[:, 0] >= 0.0]
-    mc["static_third"] = _proportion(both[:, 2] >= 0.0)
+    mc["static_third"] = _proportion(_static_posterior(lam0)[1][:, 2] >= 0.0)
+    mc["hemisphere_third"] = _proportion(_hemisphere_chain(lam0, rng)[1][:, 2] >= 0.0)
 
-    n1 = int(np.count_nonzero(lam0[:, 2] >= 0.0))
-    lam1 = hemisphere_samples(E_Z, 1, rng, n1)
-    n2 = int(np.count_nonzero(lam1[:, 0] >= 0.0))
-    lam2 = hemisphere_samples(E_X, 1, rng, n2)
-    mc["hemisphere_third"] = _proportion(lam2[:, 2] >= 0.0)
-
-    verdicts = {
-        "hemisphere_mean_cos_ok": abs(mc["hemisphere_mean_cos"].estimate - 0.5) <= 0.01,
-        "hemisphere_support_ok": mc["hemisphere_support"].estimate == 1.0,
-        "hemisphere_transverse_ok": abs(mc["hemisphere_mean_transverse"].estimate) <= 0.01,
-        "static_third_is_one": mc["static_third"].estimate == 1.0,
-        "static_third_fails_qm": (abs(mc["static_third"].estimate - qm_third)
-                                  > 3.0 * mc["static_third"].standard_error),
-        "hemisphere_third_matches_qm": (abs(mc["hemisphere_third"].estimate - qm_third)
-                                        <= 3.0 * mc["hemisphere_third"].standard_error),
-    }
-
-    return ScenarioReport(
+    report = ScenarioReport(
         scenario_name="bell-toy",
         parameters={"samples": samples, "pole": "ez", "note": BELL_UPDATE_NOTE},
         exact_results=exact,
         mc_results=mc,
         qm_reference={"P_third": qm_third},
-        verdicts=verdicts,
         seed=seed,
-        expected={name: True for name in verdicts},
     )
+    static, hemisphere = mc["static_third"], mc["hemisphere_third"]
+    report._file("hemisphere_mean_cos_ok",
+                 abs(mc["hemisphere_mean_cos"].estimate - 0.5) <= 0.01)
+    report._file("hemisphere_support_ok", mc["hemisphere_support"].estimate == 1.0)
+    report._file("hemisphere_transverse_ok",
+                 abs(mc["hemisphere_mean_transverse"].estimate) <= 0.01)
+    report._file("static_third_is_one", static.estimate == 1.0)
+    report._file("static_third_fails_qm",
+                 abs(static.estimate - qm_third) > 3.0 * static.standard_error)
+    report._file("hemisphere_third_matches_qm",
+                 abs(hemisphere.estimate - qm_third) <= 3.0 * hemisphere.standard_error)
+    return report

@@ -4,12 +4,19 @@ import os
 
 import pytest
 
-from bellcheck import cli
+from bellcheck import cli, scenarios
 from bellcheck.scenarios import ScenarioReport, closed_grid
 
 
 def parse(args):
     return cli.parse_args(["run"] + args)
+
+
+def exit_code(args):
+    try:
+        return cli.main(["run", *args])
+    except SystemExit as exc:
+        return exc.code
 
 
 # -- argument parsing ------------------------------------------------------
@@ -71,6 +78,87 @@ def test_mc_scenarios_need_samples_for_machine_formats():
     # table previews may be small, and exact-only runs are always fine
     parse(["chsh", "--samples", "500"])
     parse(["chsh", "--samples", "0", "--format", "json"])
+
+
+# The scenario flags each scenario/mode reads, as documented in the README.
+READS = {
+    ("epr-scan", "original"): {"--angles", "--mode"},
+    ("epr-scan", "anticorrelated"): {"--angles", "--mode"},
+    ("chsh", None): {"--samples"},
+    ("sequential", "clifford"): {"--mode", "--flip-prob"},
+    ("sequential", "bell-static"): {"--mode", "--samples"},
+    ("sequential", "bell-hemisphere"): {"--mode", "--samples"},
+    ("three-particle", None): set(),
+    ("update-rule-search", None): {"--grid-step"},
+    ("constraint-check", None): {"--angles"},
+    ("bell-toy", None): {"--samples"},
+}
+# Each differs from the flag's default.
+FLAG_VALUES = {"--samples": "20000", "--angles": "0:1:0.5", "--mode": "x",
+               "--flip-prob": "0.5", "--grid-step": "0.05"}
+
+
+def test_registry_has_one_entry_per_scenario_mode():
+    assert set(cli.REGISTRY) == set(READS)
+
+
+@pytest.mark.parametrize("scenario,mode", list(READS))
+def test_variant_accepts_exactly_the_flags_it_reads(scenario, mode, tmp_path, capsys):
+    base = [scenario] + (["--mode", mode] if mode else [])
+    assert parse(base).mode == mode
+
+    def report(extra):
+        out = tmp_path / "report.json"
+        assert cli.main(["run", *base, *extra, "--format", "json",
+                         "--seed", "42", "--out", str(out)]) == 0
+        return out.read_text()
+
+    default = report([])
+    for flag, value in FLAG_VALUES.items():
+        if flag == "--mode" and mode:
+            continue
+        if flag in READS[scenario, mode]:
+            # an accepted flag changes the report
+            assert report([flag, value]) != default, flag
+        else:
+            capsys.readouterr()
+            assert exit_code([*base, flag, value]) == 2, flag
+            assert f"{flag} is not read by" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["chsh", "--mode", "bogus", "--flip-prob", "0.7"],
+    ["three-particle", "--mode", "x"],
+    ["epr-scan", "--samples", "7", "--grid-step", "0.05"],
+    ["sequential", "--mode", "bell-static", "--flip-prob", "0.7"],
+    ["sequential", "--samples", "5", "--format", "json"],
+    ["sequential", "--mode", "bogus"],
+    ["epr-scan", "--mode", "bogus"],
+])
+def test_ignored_or_unknown_flags_exit_2(args):
+    assert exit_code(args) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["sequential", "--flip-prob", "1.5"],
+    ["sequential", "--flip-prob", "nan"],
+    ["update-rule-search", "--grid-step", "-1"],
+    ["update-rule-search", "--grid-step", "0.5"],
+    ["chsh", "--samples", "-1"],
+    ["bell-toy", "--samples", "-1"],
+])
+def test_out_of_domain_values_exit_2(args, capsys):
+    assert exit_code(args) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_memory_error_exits_2_with_message(monkeypatch, capsys):
+    def exhausted(samples, seed):
+        raise MemoryError("Unable to allocate 2.18 TiB for an array")
+
+    monkeypatch.setattr(scenarios, "run_chsh", exhausted)
+    assert cli.main(["run", "chsh", "--samples", "100000000000"]) == 2
+    assert "out of memory: Unable to allocate" in capsys.readouterr().err
 
 
 def test_seed_env_override(monkeypatch):
