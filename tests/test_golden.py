@@ -5,9 +5,9 @@ seed 42, as written by
 
     bellcheck run <args> --seed 42 --format json --out tests/golden/<name>.json
 
-The same defaults in `--format table` and `--format csv`, and two
-31,416-point grids, are pinned by the sha256 of their output instead of a
-stored copy.  A refactor must reproduce every report byte for byte.
+The same defaults in `--format table` and `--format csv`, two 31,416-point
+grids, and the 100,001-point `update-rule-search` in all three formats are
+pinned by the sha256 of their output instead of a stored copy.  A refactor must reproduce every report byte for byte.
 """
 
 import hashlib
@@ -67,6 +67,18 @@ LARGE_GRIDS = {
     "constraint-check": (
         ("constraint-check", "--angles", "0:3.14159:0.0001", "--format", "csv"),
         "e2706357fbdbc0ac5580407ba72b7d9021de4ef15a56844906919da88610476a",
+    ),
+    "update-rule-search-json": (
+        ("update-rule-search", "--grid-step", "1e-5", "--seed", "42", "--format", "json"),
+        "5f713280137ca47ac7629eb351cd327eadcf2cb9cbf63f1442df7bb1635092e8",
+    ),
+    "update-rule-search-csv": (
+        ("update-rule-search", "--grid-step", "1e-5", "--seed", "42", "--format", "csv"),
+        "696bc8ab1167cba184fa27dae78381f6d5e89ce1fd545d34c01c20987d51b1cd",
+    ),
+    "update-rule-search-table": (
+        ("update-rule-search", "--grid-step", "1e-5", "--seed", "42", "--format", "table"),
+        "db4d297646d895e74ddbc007ed38e7c365be675220735ca93b489d283bc1744a",
     ),
 }
 
