@@ -18,12 +18,13 @@ Exit codes: 0 when every gated verdict holds (the documented behaviour,
 including the model failures the scenarios are built to demonstrate, was
 reproduced), 1 when some gated verdict differs, 2 for usage errors and
 invalid parameters (including non-finite angles, grids of more than
-1,000,000 points and running out of memory), 3 when the output path cannot
-be written.  Identical invocations produce byte-identical output.
-BELLCHECK_SEED overrides the default seed when --seed is absent.  Angles
-are radians; CSV is comma-separated, UTF-8, LF.  The JSON report does not
-carry the gate designation, so ScenarioReport.from_json_dict gates a report
-read back on every verdict being true.
+1,000,000 points, --samples above 10,000,000 and running out of memory) and
+for internal errors, 3 when the output path cannot be written.  Identical
+invocations produce byte-identical output.  BELLCHECK_SEED overrides the
+default seed when --seed is absent.  Angles are radians; CSV is
+comma-separated, UTF-8, LF.  The JSON report does not carry the gate
+designation, so ScenarioReport.from_json_dict gates a report read back on
+every verdict being true.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, NamedTuple
 from . import scenarios
 from .clifford import Multivector
 from .models import UpdateRule
-from .scenarios import ScenarioReport, closed_grid
+from .scenarios import ScenarioReport, _fmt, closed_grid
 
 FORMATS = ("table", "json", "csv")
 
@@ -214,12 +215,12 @@ def run_scenario(config: RunConfig) -> ScenarioReport:
 
 
 def _text(value) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
     if isinstance(value, Multivector):
         return value.render()
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
     return str(value)
 
 
@@ -232,40 +233,41 @@ def _split_groups(report: ScenarioReport):
     group's verdicts that hold); the table is empty when no key is grouped.
     """
     groups: dict[str, dict[str, str]] = {}
-    fields: list[str] = []
+    fields: dict[str, None] = {}
     plain: list[tuple[str, str]] = []
     group_verdicts: dict[str, list[str]] = {}
 
-    def add(key: str, text: str):
-        if ":" in key:
-            group, field_name = key.split(":", 1)
-            row = groups.setdefault(group, {})
-            row[field_name] = text
-            if field_name not in fields:
-                fields.append(field_name)
-        else:
-            plain.append((key, text))
+    def add(entries):
+        for key, text in entries:
+            group, grouped, field_name = key.partition(":")
+            if grouped:
+                row = groups.get(group)
+                if row is None:
+                    row = groups[group] = {}
+                row[field_name] = text
+                fields[field_name] = None
+            else:
+                plain.append((key, text))
 
-    for key, value in report.exact_results.items():
-        add(key, _text(value))
+    add((key, _text(value)) for key, value in report.exact_results.items())
     for key, m in report.mc_results.items():
-        add(f"{key}:estimate" if ":" in key else f"{key}.estimate", _text(m.estimate))
-        add(f"{key}:standard_error" if ":" in key else f"{key}.standard_error",
-            _text(m.standard_error))
-        add(f"{key}:samples" if ":" in key else f"{key}.samples", str(m.samples))
-    for key, value in report.qm_reference.items():
-        # keep grouped fields as-is; label scenario-level ones as references
-        add(key if ":" in key else f"qm.{key}", _text(value))
+        sep = ":" if ":" in key else "."
+        add(((f"{key}{sep}estimate", _text(m.estimate)),
+             (f"{key}{sep}standard_error", _text(m.standard_error)),
+             (f"{key}{sep}samples", str(m.samples))))
+    # keep grouped fields as-is; label scenario-level ones as references
+    add((key if ":" in key else f"qm.{key}", _text(value))
+        for key, value in report.qm_reference.items())
     for key, value in report.verdicts.items():
-        if ":" not in key:
+        group, grouped, name = key.partition(":")
+        if not grouped:
             plain.append((key, _text(value)))
         elif value:
-            group, name = key.split(":", 1)
             group_verdicts.setdefault(group, []).append(name)
     if not groups:
         return [], plain
     rows = [["point", *fields, "verdict"]]
-    rows += ([group, *(row.get(f, "") for f in fields), ";".join(group_verdicts.get(group, []))]
+    rows += ([group, *[row.get(f, "") for f in fields], ";".join(group_verdicts.get(group, ()))]
              for group, row in groups.items())
     return rows, plain
 
@@ -290,10 +292,9 @@ def emit_table(report: ScenarioReport) -> str:
         lines.append(f"  {key}: {_text(value)}")
 
     if rows:
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+        pad = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows)).format
         lines.append("")
-        for row in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        lines.extend(pad(*row).rstrip() for row in rows)
 
     if plain:
         lines.append("")
@@ -327,6 +328,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError as exc:
         print(f"bellcheck: error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit 1 is reserved for a gated verdict that differs.
+        print(f"bellcheck: error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
     if config.out is not None:
         try:

@@ -20,6 +20,7 @@ coefficient arrays, so a grid is one pass with the scalar loop's sums.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -93,7 +94,7 @@ class Multivector:
     def __post_init__(self):
         if len(self.coeffs) != 8:
             raise ValueError(f"expected 8 coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(float, self.coeffs)))
 
     # -- constructors ------------------------------------------------------
 
@@ -161,7 +162,7 @@ class Multivector:
         return max(abs(c) for c in self.coeffs)
 
     def coeff_norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coeffs))
+        return math.sqrt(sum(map(operator.mul, self.coeffs, self.coeffs)))
 
     def approx_eq(self, other: "Multivector", tol: float = COEFF_TOL) -> bool:
         return all(abs(a - b) <= tol for a, b in zip(self.coeffs, other.coeffs))

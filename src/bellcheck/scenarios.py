@@ -13,7 +13,9 @@ collect in `expected`, and `gate_passed()` folds them into the process exit
 code.
 
 Report keys of the form "<group>:<field>" describe one grid point or one
-searched configuration; plain keys are scenario-level values.
+searched configuration; plain keys are scenario-level values.  Grid runners
+compute each column on arrays and file the entries point by point, in the
+same key order a per-point loop would.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from json.encoder import encode_basestring
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,13 +66,61 @@ BELL_UPDATE_NOTE = (
 # Gate designation of a verdict that is reported but not gated.
 INFO = None
 
-
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+# Monte Carlo runners draw O(samples) memory, so the sample count is capped.
+MAX_SAMPLES = 10_000_000
 
 
 def _fmt(x: float) -> str:
+    """The 12-significant-digit text of a float, as every report prints it."""
     return f"{x:.12g}"
+
+
+def _json_number(x: float) -> str:
+    """JSON text of x rounded to 12 significant digits: the shortest repr of
+    the rounded value, with NaN and Infinity for non-finite values.
+
+    Exponent and non-finite forms are tested first, because repr writes
+    1e12 <= |x| < 1e16 in positional notation where _fmt uses an exponent."""
+    t = _fmt(x)
+    if "e" in t or "n" in t:
+        return json.dumps(float(t))
+    return t if "." in t else t + ".0"
+
+
+def _json_value(value, indent: str) -> str:
+    """JSON text of one report value, laid out as json.dumps(indent=2).
+
+    Floats (numpy floats included) are rounded to 12 significant digits,
+    numpy integers become ints and Multivectors their render() string."""
+    if isinstance(value, (float, np.floating)):
+        return _json_number(float(value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, Multivector):
+        return encode_basestring(value.render())
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = ",\n".join([f"{inner}{encode_basestring(k)}: {_json_value(v, inner)}"
+                            for k, v in value.items()])
+        return f"{{\n{items}\n{indent}}}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = ",\n".join([inner + _json_value(v, inner) for v in value])
+        return f"[\n{items}\n{indent}]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _by_point(groups: Iterable[str],
+              columns: dict[str, Iterable]) -> tuple[list[str], Iterator]:
+    """Keys "<group>:<field>" and their values, point by point, with the
+    fields of each point in column order."""
+    keys = [f"{g}:{name}" for g in groups for name in columns]
+    return keys, itertools.chain.from_iterable(zip(*columns.values()))
 
 
 def _dir_xz(theta: float) -> Vec3:
@@ -132,9 +183,14 @@ class ScenarioReport:
     def _file(self, name: str, ok: bool, want: bool | None = True) -> None:
         """Record verdict `name` with the value `want` it must take for
         gate_passed(), or with INFO to leave it ungated."""
-        self.verdicts[name] = ok
-        if want is not INFO:
-            self._gates[name] = want
+        self._file_many((name,), (ok,), (want,))
+
+    def _file_many(self, names: Sequence[str], oks: Iterable[bool],
+                   wants: Iterable[bool | None]) -> None:
+        """_file for each of the parallel names, oks and wants, in order."""
+        self.verdicts.update(zip(names, oks))
+        self._gates.update((name, want) for name, want in zip(names, wants)
+                           if want is not INFO)
 
     def gate_passed(self) -> bool:
         if not self.expected:
@@ -142,38 +198,26 @@ class ScenarioReport:
         return all(self.verdicts.get(name) == want for name, want in self.expected.items())
 
     def to_json_dict(self) -> dict:
-        def convert(value):
-            if isinstance(value, Multivector):
-                return value.render()
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, (int, np.integer)):
-                return int(value)
-            if isinstance(value, (float, np.floating)):
-                return _round12(float(value))
-            if isinstance(value, (list, tuple)):
-                return [convert(v) for v in value]
-            return value
+        return json.loads(self.to_json())
 
-        return {
+    def to_json(self) -> str:
+        """The 7-key report as JSON text, 2-space indent, non-ASCII unescaped."""
+        return _json_value({
             "scenario_name": self.scenario_name,
-            "parameters": {k: convert(v) for k, v in self.parameters.items()},
-            "exact_results": {k: convert(v) for k, v in self.exact_results.items()},
+            "parameters": self.parameters,
+            "exact_results": self.exact_results,
             "mc_results": {
                 k: {
-                    "estimate": _round12(m.estimate),
-                    "standard_error": _round12(m.standard_error),
+                    "estimate": float(m.estimate),
+                    "standard_error": float(m.standard_error),
                     "samples": int(m.samples),
                 }
                 for k, m in self.mc_results.items()
             },
-            "qm_reference": {k: convert(v) for k, v in self.qm_reference.items()},
-            "verdicts": dict(self.verdicts),
+            "qm_reference": self.qm_reference,
+            "verdicts": self.verdicts,
             "seed": int(self.seed),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
+        }, "") + "\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioReport":
@@ -189,6 +233,11 @@ class ScenarioReport:
             verdicts=dict(data["verdicts"]),
             seed=data["seed"],
         )
+
+
+def _check_sample_cap(samples: int) -> None:
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}")
 
 
 def _proportion(flags: np.ndarray) -> McResult:
@@ -240,9 +289,15 @@ def run_epr_scan(angle_grid: Sequence[float],
     # Multivector.grade(2), row by row.
     bivector_rows = np.where(np.equal(GRADES, 2), averaged_rows, 0.0)
     qm_values = quantum.batch_singlet_correlation(a_dirs, b_dirs)
+    scalars = averaged_rows[:, 0]
+    if meter_b_mode == "original":
+        verdict, oks = "matches_qm", np.abs(scalars - qm_values) <= EXACT_TOL
+    else:
+        cosines = np.array([math.cos(theta) for theta in angle_grid])
+        verdict, oks = "wrong_sign", np.abs(scalars - cosines) <= EXACT_TOL
+    bivectors = [Multivector(row) for row in bivector_rows.tolist()]
+    groups = [f"theta={_fmt(theta)}" for theta in angle_grid]
 
-    exact: dict = {}
-    qm_ref: dict[str, float] = {}
     report = ScenarioReport(
         scenario_name="epr-scan",
         parameters={
@@ -252,27 +307,15 @@ def run_epr_scan(angle_grid: Sequence[float],
             "n_points": len(angle_grid),
             "angles": [float(t) for t in angle_grid],
         },
-        exact_results=exact,
-        qm_reference=qm_ref,
+        exact_results=dict(zip(*_by_point(groups, {
+            "model_scalar": scalars.tolist(),
+            "model_bivector": bivectors,
+            "bivector_norm": [b.coeff_norm() for b in bivectors],
+        }))),
+        qm_reference=dict(zip(*_by_point(groups, {"qm": qm_values.tolist()}))),
     )
-    all_ok = True
-    for theta, scalar, bivector_row, qm in zip(angle_grid, averaged_rows[:, 0].tolist(),
-                                               bivector_rows.tolist(), qm_values.tolist()):
-        bivector = Multivector(bivector_row)
-        g = f"theta={_fmt(theta)}"
-        exact[f"{g}:model_scalar"] = scalar
-        exact[f"{g}:model_bivector"] = bivector
-        exact[f"{g}:bivector_norm"] = bivector.coeff_norm()
-        qm_ref[f"{g}:qm"] = qm
-        if meter_b_mode == "original":
-            ok = abs(scalar - qm) <= EXACT_TOL
-            report._file(f"{g}:matches_qm", ok)
-        else:
-            ok = abs(scalar - math.cos(theta)) <= EXACT_TOL
-            report._file(f"{g}:wrong_sign", ok)
-        all_ok = all_ok and ok
-
-    report._file("all_points_as_predicted", all_ok)
+    report._file_many(*_by_point(groups, {verdict: oks.tolist()}), itertools.repeat(True))
+    report._file("all_points_as_predicted", bool(oks.all()))
     return report
 
 
@@ -311,6 +354,7 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
+    _check_sample_cap(samples)
     a, a2, b, b2 = (_dir_xz(t) for t in CHSH_ANGLES)
     pairs = {"E_ab": (a, b), "E_ab2": (a, b2), "E_a2b": (a2, b), "E_a2b2": (a2, b2)}
 
@@ -421,6 +465,7 @@ def run_sequential(model: str = "clifford",
 
     if samples < 10_000:
         raise ValueError("stochastic models need samples >= 10000")
+    _check_sample_cap(samples)
     parameters["note"] = BELL_UPDATE_NOTE
     rng = np.random.default_rng(seed)
     static = model == "bell-static"
@@ -467,7 +512,20 @@ def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
         raise ValueError("grid_step must be in (0, 0.1]")
 
     grid = closed_grid(0.0, 1.0, grid_step)
-    exact: dict = {}
+    p = np.array(grid)
+    p_zz = 1.0 - p
+    p_zx = 1.0 - p
+
+    def meets(zz: float, zx: float) -> np.ndarray:
+        return ((np.abs(p_zz - zz) <= FEASIBILITY_TOL)
+                & (np.abs(p_zx - zx) <= FEASIBILITY_TOL))
+
+    oks = meets(1.0, 0.5)
+    feasible, relaxed_repeat, relaxed_uniform = (
+        p[mask].tolist() for mask in (oks, meets(1.0, 1.0), meets(0.5, 0.5)))
+    groups = [f"p={_fmt(x)}" for x in grid]
+
+    exact = dict(zip(*_by_point(groups, {"P_zz": p_zz.tolist(), "P_zx": p_zx.tolist()})))
     report = ScenarioReport(
         scenario_name="update-rule-search",
         parameters={"grid_step": grid_step, "n_grid": len(grid),
@@ -475,21 +533,7 @@ def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
         exact_results=exact,
         qm_reference={"P_zz": 1.0, "P_zx": 0.5},
     )
-    feasible, relaxed_repeat, relaxed_uniform = [], [], []
-    for p in grid:
-        p_zz = 1.0 - p
-        p_zx = 1.0 - p
-        g = f"p={_fmt(p)}"
-        exact[f"{g}:P_zz"] = p_zz
-        exact[f"{g}:P_zx"] = p_zx
-        ok = abs(p_zz - 1.0) <= FEASIBILITY_TOL and abs(p_zx - 0.5) <= FEASIBILITY_TOL
-        report._file(f"{g}:feasible", ok, False)
-        if ok:
-            feasible.append(p)
-        if abs(p_zz - 1.0) <= FEASIBILITY_TOL and abs(p_zx - 1.0) <= FEASIBILITY_TOL:
-            relaxed_repeat.append(p)
-        if abs(p_zz - 0.5) <= FEASIBILITY_TOL and abs(p_zx - 0.5) <= FEASIBILITY_TOL:
-            relaxed_uniform.append(p)
+    report._file_many(*_by_point(groups, {"feasible": oks.tolist()}), itertools.repeat(False))
 
     exact["feasible_count"] = len(feasible)
     exact["relaxed_repeat_count"] = len(relaxed_repeat)
@@ -665,28 +709,30 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
               + a_dirs[:, 2] * b_dirs[:, 2])
     parallel = np.abs(np.abs(dot_ab) - 1.0) <= FEASIBILITY_TOL
 
-    exact: dict = {}
+    groups = [f"pair[{i}]" for i in range(len(pairs))]
+    parameters.update(zip(groups, (
+        f"a=({_fmt(a[0])}; {_fmt(a[1])}; {_fmt(a[2])}) "
+        f"b=({_fmt(b[0])}; {_fmt(b[1])}; {_fmt(b[2])})"
+        for a, b in zip(a_dirs.tolist(), b_dirs.tolist()))))
+    commutators = [Multivector(row) for row in audit.commutator_avg.tolist()]
+    squares = [Multivector(row) for row in audit.square_avg.tolist()]
+
+    exact = dict(zip(*_by_point(groups, {
+        "commutator": commutators,
+        "commutator_norm": [c.coeff_norm() for c in commutators],
+        "square": squares,
+        "square_scalar": audit.square_avg[:, 0].tolist(),
+    })))
     report = ScenarioReport(
         scenario_name="constraint-check",
         parameters=parameters,
         exact_results=exact,
         qm_reference={"commutator_target": 0.0, "square_target": 1.0},
     )
-    for i, (a, b, commutator_row, square_row, ok_c, ok_n, par) in enumerate(zip(
-            a_dirs.tolist(), b_dirs.tolist(), audit.commutator_avg.tolist(),
-            audit.square_avg.tolist(), commutes.tolist(), normalized_ok.tolist(),
-            parallel.tolist())):
-        commutator = Multivector(commutator_row)
-        square = Multivector(square_row)
-        g = f"pair[{i}]"
-        parameters[g] = (f"a=({_fmt(a[0])}; {_fmt(a[1])}; {_fmt(a[2])}) "
-                         f"b=({_fmt(b[0])}; {_fmt(b[1])}; {_fmt(b[2])})")
-        exact[f"{g}:commutator"] = commutator
-        exact[f"{g}:commutator_norm"] = commutator.coeff_norm()
-        exact[f"{g}:square"] = square
-        exact[f"{g}:square_scalar"] = square.scalar_part
-        report._file(f"{g}:commutator_zero", ok_c, par)
-        report._file(f"{g}:normalization_holds", ok_n, False)
+    report._file_many(
+        *_by_point(groups, {"commutator_zero": commutes.tolist(),
+                            "normalization_holds": normalized_ok.tolist()}),
+        itertools.chain.from_iterable(zip(parallel.tolist(), itertools.repeat(False))))
 
     normalization_violations = int(np.count_nonzero(~normalized_ok))
     exact["commutator_violations"] = int(np.count_nonzero(~commutes))
@@ -711,6 +757,7 @@ def run_bell_toy(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     """
     if samples < 10_000:
         raise ValueError("stochastic models need samples >= 10000")
+    _check_sample_cap(samples)
     rng = np.random.default_rng(seed)
 
     qm_third = _sequential_qm_refs()["P_zxz"]

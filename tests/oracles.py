@@ -5,9 +5,17 @@ Pauli matrices; the geometric product becomes matrix multiplication.  The
 eight blade matrices are orthonormal under Re tr(A^dag B)/2, so coefficients
 can be recovered by projection.  Everything here is built from complex
 matrices only, never from the package's integer product table.
+
+`ref_report_json` is the reference for the report's JSON writer: each value
+converted to plain JSON types, with reals rounded to 12 significant digits,
+then laid out by the standard library's json.dumps.
 """
 
+import json
+
 import numpy as np
+
+from bellcheck.clifford import Multivector
 
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -88,3 +96,42 @@ def ref_graded_product(x_coeffs, y_coeffs, keep):
                 if keep(len(bi), len(bj), len(BLADES[k])):
                     acc[k] += x_coeffs[i] * y_coeffs[j] * c
     return tuple(acc)
+
+
+def _round12(x):
+    return float(f"{x:.12g}")
+
+
+def _convert(value):
+    if isinstance(value, Multivector):
+        return value.render()
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return _round12(float(value))
+    if isinstance(value, (list, tuple)):
+        return [_convert(v) for v in value]
+    return value
+
+
+def ref_report_json(report):
+    """ScenarioReport.to_json() text, built through json.dumps."""
+    doc = {
+        "scenario_name": report.scenario_name,
+        "parameters": {k: _convert(v) for k, v in report.parameters.items()},
+        "exact_results": {k: _convert(v) for k, v in report.exact_results.items()},
+        "mc_results": {
+            k: {
+                "estimate": _round12(m.estimate),
+                "standard_error": _round12(m.standard_error),
+                "samples": int(m.samples),
+            }
+            for k, m in report.mc_results.items()
+        },
+        "qm_reference": {k: _convert(v) for k, v in report.qm_reference.items()},
+        "verdicts": dict(report.verdicts),
+        "seed": int(report.seed),
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from bellcheck import cli, scenarios
-from bellcheck.scenarios import ScenarioReport, closed_grid
+from bellcheck.scenarios import McResult, ScenarioReport, closed_grid
 
 
 def parse(args):
@@ -161,6 +161,29 @@ def test_memory_error_exits_2_with_message(monkeypatch, capsys):
     assert "out of memory: Unable to allocate" in capsys.readouterr().err
 
 
+def test_internal_error_exits_2_with_message(monkeypatch, capsys):
+    def broken(samples, seed):
+        raise RuntimeError("verdict table lost")
+
+    monkeypatch.setattr(scenarios, "run_chsh", broken)
+    assert cli.main(["run", "chsh"]) == 2
+    assert ("bellcheck: error: internal error: RuntimeError: verdict table lost"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("args", [
+    ["chsh"],
+    ["sequential", "--mode", "bell-static"],
+    ["sequential", "--mode", "bell-hemisphere"],
+    ["bell-toy"],
+])
+def test_samples_above_the_cap_exit_2(args, monkeypatch, capsys):
+    monkeypatch.setattr(scenarios, "MAX_SAMPLES", 20_000)
+    assert exit_code([*args, "--samples", "20001"]) == 2
+    assert "samples must be <= 20000" in capsys.readouterr().err
+    assert exit_code([*args, "--samples", "20000"]) == 0
+
+
 def test_seed_env_override(monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "99")
     assert parse(["chsh"]).seed == 99
@@ -209,6 +232,32 @@ def test_csv_wrong_sign_row(capsys):
     assert row[header.index("model_scalar")] == "1"
     assert row[header.index("qm")] == "-1"
     assert row[header.index("verdict")] == "wrong_sign"
+
+
+def test_csv_header_keeps_first_appearance_across_sections():
+    # g1's field c appears only in qm_reference, after g2's exact field b.
+    report = ScenarioReport(
+        "synthetic", {"label": "x"},
+        exact_results={"g1:a": 1.0, "g2:b": 2.5, "total": 3},
+        mc_results={"g2:m": McResult(0.25, 0.125, 10), "pooled": McResult(0.5, 0.1, 20)},
+        qm_reference={"g1:c": -1.0, "bound": 2.0},
+    )
+    report._file("g1:ok", True)
+    report._file("g2:ok", False)
+    report._file("all_ok", True)
+    assert cli.emit_csv(report) == (
+        "point,a,b,m:estimate,m:standard_error,m:samples,c,verdict\n"
+        "g1,1,,,,,-1,ok\n"
+        "g2,,2.5,0.25,0.125,10,,\n"
+        "\n"
+        "name,value\n"
+        "total,3\n"
+        "pooled.estimate,0.5\n"
+        "pooled.standard_error,0.1\n"
+        "pooled.samples,20\n"
+        "qm.bound,2\n"
+        "all_ok,true\n"
+    )
 
 
 def test_table_three_particle_headline(capsys):

@@ -1,11 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from bellcheck import scenarios
+from bellcheck.clifford import Multivector
 from bellcheck.models import MeterModel, UpdateRule
 from bellcheck.scenarios import (
+    McResult,
     ScenarioReport,
     closed_grid,
     run_bell_toy,
@@ -357,6 +362,68 @@ def test_report_json_roundtrip():
     assert parsed == report.to_json_dict()
     rebuilt = ScenarioReport.from_json_dict(parsed)
     assert rebuilt.to_json_dict() == report.to_json_dict()
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.floats(), st.floats(1e11, 1e17), st.floats(-1e17, -1e11),
+                 st.floats(-1e-3, 1e-3)))
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(1e12)
+@example(999999999999.5)
+@example(-66926478731690.96)
+@example(1e16)
+@example(1e-4)
+@example(9.99999999999999e-5)
+@example(1e-5)
+def test_json_number_is_the_repr_of_the_rounded_value(x):
+    assert scenarios._json_number(x) == json.dumps(float(f"{x:.12g}"))
+
+
+_FLOATS = st.floats(width=64)
+_SCALARS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['quote " and backslash \\', "tab\tnewline\n\x00\x1f", "π·ezx ∅"]),
+    st.lists(_FLOATS, min_size=8, max_size=8).map(Multivector),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4),
+                    st.lists(_SCALARS, max_size=4).map(tuple))
+_KEYS = st.text(max_size=12)
+_NUMBERS = st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(-10 ** 6, 10 ** 6))
+
+
+@st.composite
+def _reports(draw):
+    report = ScenarioReport(
+        scenario_name=draw(st.text()),
+        parameters=draw(st.dictionaries(_KEYS, _VALUES, max_size=4)),
+        exact_results=draw(st.dictionaries(_KEYS, _VALUES, max_size=6)),
+        mc_results=draw(st.dictionaries(_KEYS, st.builds(
+            McResult, _NUMBERS, _NUMBERS,
+            st.one_of(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9).map(np.int64))),
+            max_size=3)),
+        qm_reference=draw(st.dictionaries(_KEYS, _VALUES, max_size=3)),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+    )
+    for name, ok in draw(st.dictionaries(_KEYS, st.booleans(), max_size=4)).items():
+        report._file(name, ok)
+    return report
+
+
+@settings(max_examples=150)
+@given(_reports())
+def test_to_json_matches_the_json_dumps_reference(report):
+    assert report.to_json() == oracles.ref_report_json(report)
 
 
 def test_gate_fails_when_expected_verdict_differs():
