@@ -101,7 +101,7 @@ REGISTRY: dict[tuple[str, str | None], Variant] = {
         ("--grid-step",), False, lambda c: scenarios.search_update_rules(c.grid_step)),
     ("constraint-check", None): Variant(
         ("--angles",), False, lambda c: scenarios.run_constraint_check(
-            [(scenarios.E_Z, (math.sin(t), 0.0, math.cos(t))) for t in closed_grid(*c.angles)])),
+            [(scenarios.E_Z, scenarios._dir_xz(t)) for t in closed_grid(*c.angles)])),
     ("bell-toy", None): Variant(
         ("--samples",), True, lambda c: scenarios.run_bell_toy(c.samples, c.seed)),
 }
@@ -188,9 +188,9 @@ def parse_args(argv: list[str]) -> RunConfig:
             run.error(f"--angles: {exc}")
 
     samples = DEFAULT_SAMPLES if ns.samples is None else ns.samples
-    if variant.monte_carlo and ns.format != "table" and 0 < samples < 10_000:
-        run.error("--samples must be >= 10000 for Monte Carlo scenarios "
-                  "unless --format table")
+    if variant.monte_carlo and ns.format != "table" and 0 < samples < scenarios.MIN_MC_SAMPLES:
+        run.error(f"--samples must be >= {scenarios.MIN_MC_SAMPLES} for Monte Carlo "
+                  "scenarios unless --format table")
 
     return RunConfig(
         scenario=ns.scenario,

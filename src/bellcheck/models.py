@@ -7,6 +7,9 @@ Two families live here:
   vector n reads the bivector value  def_sign * (mu . n) = def_sign * mu * I n.
   An interpretation map turns that bivector into a +-1 leg: the natural
   choice reads I n as "up" for meter axes with a positive leading component.
+  The scalar reading and audit are one-row views of their batch_* forms.
+  effective_outcome and meter_outcome reject a non-unit direction, as the
+  bivector readings do.
 * Bell's scalar toy model (Eq. (9) of Bell, Physics 1, 195 (1964)): the
   hidden state is a unit vector lambda and the outcome is sign(a . lambda),
   optionally combined with a post-measurement redraw of lambda from the
@@ -28,7 +31,6 @@ from .clifford import (
     Multivector,
     Vec3,
     batch_product,
-    dot,
     geometric_product,
     unit_vector,
     unit_vectors,
@@ -81,25 +83,16 @@ class MeterModel:
 
 def observable_value(meter: MeterModel, n: Vec3, mu: HiddenState) -> Multivector:
     """Bivector reading def_sign * (mu . n); always unit coefficient norm."""
-    n = unit_vector(n)
-    reading = dot(mu.as_multivector(), Multivector.from_vector(n))
-    return meter.def_sign * reading
+    return Multivector(batch_observable_value(meter, [n], mu)[0])
 
 
 def batch_observable_value(meter: MeterModel, n, mu: HiddenState) -> np.ndarray:
     """`observable_value` for each row of an (N, 3) array of unit directions,
-    as (N, 8) coefficients equal bit for bit to the scalar readings."""
+    as (N, 8) coefficients."""
     n = unit_vectors(n)
     vectors = np.zeros((len(n), 8))
     vectors[:, 1:4] = n
     return meter.def_sign * batch_product(mu.as_multivector().coeffs, vectors, "dot")
-
-
-def _leading_sign(n: Vec3) -> int:
-    for component in n:
-        if component != 0.0:
-            return 1 if component > 0.0 else -1
-    raise ValueError("direction has no nonzero component")
 
 
 def meter_outcome(meter: MeterModel, n: Vec3, mu: HiddenState) -> int:
@@ -109,15 +102,15 @@ def meter_outcome(meter: MeterModel, n: Vec3, mu: HiddenState) -> int:
     to have a positive leading component, so meters pointed along -n report
     inverted legs, matching the scalar shortcut below.
     """
-    unit_vector(n)
-    return meter.interp * meter.def_sign * mu.mu_sign * _leading_sign(n)
+    return meter.interp * meter.def_sign * effective_outcome(n, mu)
 
 
 def effective_outcome(n: Vec3, mu: HiddenState) -> int:
     """Scalar shortcut mu I^-1 sgn(n*): mu_sign times the sign of the first
-    nonzero component of n.  Agrees with the natural reading of the
-    bivector observable for every direction."""
-    return mu.mu_sign * _leading_sign(n)
+    nonzero component of the unit direction n.  Agrees with the natural
+    reading of the bivector observable for every direction."""
+    leading = next(c for c in unit_vector(n) if c != 0.0)
+    return mu.mu_sign * (1 if leading > 0.0 else -1)
 
 
 def pair_product(meter_a: MeterModel, meter_b: MeterModel,
@@ -158,22 +151,16 @@ class ConstraintAverages:
 
 def constraint_check(meter_a: MeterModel, meter_b: MeterModel,
                      a: Vec3, b: Vec3) -> ConstraintAverages:
-    def commutator(mu: HiddenState) -> Multivector:
-        av = observable_value(meter_a, a, mu)
-        bv = observable_value(meter_b, b, mu)
-        return geometric_product(av, bv) - geometric_product(bv, av)
-
-    def square(mu: HiddenState) -> Multivector:
-        av = observable_value(meter_a, a, mu)
-        return geometric_product(av, av)
-
-    return ConstraintAverages(commutator_avg=expectation_over_mu(commutator),
-                              square_avg=expectation_over_mu(square))
+    """The one-row `batch_constraint_check` for directions a and b."""
+    audit = batch_constraint_check(meter_a, meter_b, [a], [b])
+    return ConstraintAverages(commutator_avg=Multivector(audit.commutator_avg[0]),
+                              square_avg=Multivector(audit.square_avg[0]))
 
 
 def batch_constraint_check(meter_a: MeterModel, meter_b: MeterModel,
                            a, b) -> ConstraintAverages:
-    """`constraint_check` for each row pair of two (N, 3) direction arrays."""
+    """Commutator and square averages for each row pair of two (N, 3)
+    direction arrays, as (N, 8) coefficients."""
     def commutator(mu: HiddenState) -> np.ndarray:
         av = batch_observable_value(meter_a, a, mu)
         bv = batch_observable_value(meter_b, b, mu)

@@ -68,6 +68,8 @@ INFO = None
 
 # Monte Carlo runners draw O(samples) memory, so the sample count is capped.
 MAX_SAMPLES = 10_000_000
+# Fewest samples behind a Monte Carlo estimate; only chsh may draw none.
+MIN_MC_SAMPLES = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -235,7 +237,11 @@ class ScenarioReport:
         )
 
 
-def _check_sample_cap(samples: int) -> None:
+def _check_samples(samples: int, minimum: int) -> None:
+    """Reject a sample count below `minimum` or above MAX_SAMPLES."""
+    if samples < minimum:
+        need = "stochastic models need samples" if minimum else "samples must be"
+        raise ValueError(f"{need} >= {minimum}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}")
 
@@ -333,10 +339,6 @@ def _algebraic_pair_expectation(ma: MeterModel, mb: MeterModel,
         lambda mu: pair_product(ma, mb, a, b, mu)).scalar_part
 
 
-def _chsh_combination(e: dict[str, float]) -> float:
-    return abs(e["E_ab"] - e["E_ab2"]) + abs(e["E_a2b"] + e["E_a2b2"])
-
-
 def _static_sign_correlation(a: Vec3, b: Vec3, lams: np.ndarray) -> McResult:
     """E[sign(a.lam) * (-sign(b.lam))] over a batch of shared lambdas."""
     a_out = np.where(lams @ np.asarray(a) >= 0.0, 1, -1)
@@ -352,17 +354,15 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     and a Monte Carlo CHSH for the static-lambda sign model, which as a
     local deterministic model must respect the bound 2.
     """
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
-    _check_sample_cap(samples)
+    _check_samples(samples, 0)
     a, a2, b, b2 = (_dir_xz(t) for t in CHSH_ANGLES)
     pairs = {"E_ab": (a, b), "E_ab2": (a, b2), "E_a2b": (a2, b), "E_a2b2": (a2, b2)}
 
     qm = quantum.chsh_value(a, a2, b, b2)
 
     meter = MeterModel()
-    model_chsh = _chsh_combination({name: _algebraic_pair_expectation(meter, meter, x, y)
-                                    for name, (x, y) in pairs.items()})
+    model_chsh = quantum.chsh_combination(
+        *(_algebraic_pair_expectation(meter, meter, x, y) for x, y in pairs.values()))
 
     tsirelson = 2.0 * math.sqrt(2.0)
     mc: dict[str, McResult] = {}
@@ -382,7 +382,7 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
         terms = {name: _static_sign_correlation(x, y, random_unit_vectors(rng, samples))
                  for name, (x, y) in pairs.items()}
         mc.update((f"bell_static_{name}", term) for name, term in terms.items())
-        s_est = _chsh_combination({name: term.estimate for name, term in terms.items()})
+        s_est = quantum.chsh_combination(*(term.estimate for term in terms.values()))
         s_se = math.sqrt(sum(t.standard_error ** 2 for t in terms.values()))
         mc["bell_static_chsh"] = McResult(s_est, s_se, samples)
         report._file("bell_static_within_local_bound", s_est <= 2.0 + 3.0 * s_se)
@@ -463,9 +463,7 @@ def run_sequential(model: str = "clifford",
         qm_ref.pop("P_zxz")
         return report
 
-    if samples < 10_000:
-        raise ValueError("stochastic models need samples >= 10000")
-    _check_sample_cap(samples)
+    _check_samples(samples, MIN_MC_SAMPLES)
     parameters["note"] = BELL_UPDATE_NOTE
     rng = np.random.default_rng(seed)
     static = model == "bell-static"
@@ -592,6 +590,10 @@ def run_three_particle_search() -> ScenarioReport:
         "control_E_AB": quantum.product_state_correlation((1, -1), (0, 1), E_Z),
     }
     pair_names = (("E_AB", 0, 1), ("E_AC", 0, 2), ("E_BC", 1, 2))
+    # Every searched pair expectation, once per ordered meter pair.
+    meter_pairs = list(itertools.product(_METER_OPTIONS, repeat=2))
+    alg_by_pair = {pair: _algebraic_pair_expectation(*pair) for pair in meter_pairs}
+    out_by_pair = {pair: _outcome_pair_expectation(*pair) for pair in meter_pairs}
 
     exact: dict = {}
     report = ScenarioReport(
@@ -612,10 +614,9 @@ def run_three_particle_search() -> ScenarioReport:
         errors: dict[str, float] = {}
         ok = True
         for name, i, j in pair_names:
-            alg = _algebraic_pair_expectation(meters[i], meters[j])
-            out = _outcome_pair_expectation(meters[i], meters[j])
+            alg = alg_by_pair[meters[i], meters[j]]
             exact[f"{g}:{name}_alg"] = alg
-            exact[f"{g}:{name}_out"] = out
+            exact[f"{g}:{name}_out"] = out_by_pair[meters[i], meters[j]]
             errors[name] = abs(alg - qm_ref[name])
             ok = ok and errors[name] <= EXACT_TOL
         total_err = sum(errors.values())
@@ -635,10 +636,10 @@ def run_three_particle_search() -> ScenarioReport:
             best = (total_err, code, errors)
 
     control_consistent = 0
-    for meters in itertools.product(_METER_OPTIONS, repeat=2):
+    for meters in meter_pairs:
         code = _assignment_code(meters)
         g = f"ctrl={code}"
-        alg = _algebraic_pair_expectation(meters[0], meters[1])
+        alg = alg_by_pair[meters]
         exact[f"{g}:E_AB_alg"] = alg
         ok = abs(alg - qm_ref["control_E_AB"]) <= EXACT_TOL
         report._file(f"{g}:consistent", ok, INFO)
@@ -650,8 +651,8 @@ def run_three_particle_search() -> ScenarioReport:
     forced_a = MeterModel(1, NATURAL)
     forced_b = MeterModel(1, FLIPPED)
     forced_c = MeterModel(-1, FLIPPED)
-    forced_ac = _algebraic_pair_expectation(forced_a, forced_c)
-    forced_bc = _algebraic_pair_expectation(forced_b, forced_c)
+    forced_ac = alg_by_pair[forced_a, forced_c]
+    forced_bc = alg_by_pair[forced_b, forced_c]
     exact["forced_E_AC_alg"] = forced_ac
     exact["forced_E_BC_alg"] = forced_bc
     report._file("forced_ac_matches_qm", abs(forced_ac - qm_ref["E_AC"]) <= EXACT_TOL)
@@ -755,9 +756,7 @@ def run_bell_toy(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     the static posterior pins the answer to 1 while the redraw recovers the
     quantum 1/2.
     """
-    if samples < 10_000:
-        raise ValueError("stochastic models need samples >= 10000")
-    _check_sample_cap(samples)
+    _check_samples(samples, MIN_MC_SAMPLES)
     rng = np.random.default_rng(seed)
 
     qm_third = _sequential_qm_refs()["P_zxz"]

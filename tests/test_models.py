@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -89,6 +90,20 @@ def test_effective_outcome_examples():
 
 def test_effective_outcome_picks_first_nonzero_component():
     assert effective_outcome((0.0, -0.6, 0.8), MU_PLUS) == -1
+
+
+def test_effective_outcome_rejects_non_unit_direction():
+    with pytest.raises(ValueError):
+        effective_outcome((0.0, 0.0, 2.0), MU_PLUS)
+    with pytest.raises(ValueError):
+        meter_outcome(METER_A, (0.0, 0.0, 2.0), MU_PLUS)
+
+
+def test_effective_outcome_rejects_nan_direction():
+    with pytest.raises(ValueError):
+        effective_outcome((math.nan, 0.0, 0.0), MU_PLUS)
+    with pytest.raises(ValueError):
+        meter_outcome(METER_A, (math.nan, 0.0, 0.0), MU_PLUS)
 
 
 def test_outcomes_agree_on_signed_axes():
@@ -218,6 +233,18 @@ def test_constraint_check_matches_table_brute_force(rng):
             for k in range(8):
                 comm_sum[k] += (ab[k] - ba[k]) / 2.0
                 square_sum[k] += aa[k] / 2.0
+
+            # The scalar readings and pair products against the same table,
+            # for every def sign of either meter.
+            mu = HiddenState(mu_sign)
+            for ds_x, ds_y in itertools.product((1, -1), repeat=2):
+                meter_x, meter_y = MeterModel(def_sign=ds_x), MeterModel(def_sign=ds_y)
+                xv = observable_coeffs(ds_x, a, mu_sign)
+                yv = observable_coeffs(ds_y, b, mu_sign)
+                assert observable_value(meter_x, a, mu).approx_eq(Multivector(xv), 1e-12)
+                assert observable_value(meter_y, b, mu).approx_eq(Multivector(yv), 1e-12)
+                assert pair_product(meter_x, meter_y, a, b, mu).approx_eq(
+                    Multivector(oracles.table_product(index, sign, xv, yv)), 1e-12)
 
         audit = constraint_check(MeterModel(def_sign=ds_a), MeterModel(def_sign=ds_b), a, b)
         assert audit.commutator_avg.approx_eq(Multivector(tuple(comm_sum)), 1e-12)

@@ -56,6 +56,17 @@ def test_tensor_computational_basis_order():
     assert np.allclose(state, [0, 1, 0, 0])
 
 
+def test_tensor_equals_np_kron_bit_for_bit(rng):
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for _ in range(50):
+        for a, b in ((draw(2), draw(2)), (draw(4), draw(2)),
+                     (draw(2, 2), draw(2, 2)), (draw(4, 4), draw(2, 2))):
+            assert quantum.tensor(a, b).tobytes() == np.kron(a, b).tobytes()
+            assert quantum.tensor(a, b).shape == np.kron(a, b).shape
+
+
 def test_tensor_eigenstate():
     op = quantum.tensor(quantum.spin_op(EZ), quantum.spin_op(EZ))
     state = quantum.tensor(quantum.ket_z(1), quantum.ket_z(-1))
@@ -210,6 +221,14 @@ def test_chsh_canonical_angles_reach_tsirelson():
 def test_chsh_degenerate_settings():
     assert quantum.chsh_value(EZ, EZ, EZ, EZ) == pytest.approx(2.0, abs=1e-12)
     assert quantum.chsh_value(EZ, EX, EZ, EX) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_chsh_value_equals_the_four_call_formula_bit_for_bit(rng):
+    e = quantum.singlet_correlation
+    for _ in range(2_000):
+        a, a2, b, b2 = (random_direction(rng) for _ in range(4))
+        reference = abs(e(a, b) - e(a, b2)) + abs(e(a2, b) + e(a2, b2))
+        assert quantum.chsh_value(a, a2, b, b2).hex() == reference.hex()
 
 
 def test_chsh_never_exceeds_tsirelson(rng):
