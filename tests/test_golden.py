@@ -8,9 +8,15 @@ seed 42, as written by
 The same defaults in `--format table` and `--format csv`, two 31,416-point
 grids, and the 100,001-point `update-rule-search` in all three formats are
 pinned by the sha256 of their output instead of a stored copy.  A refactor must reproduce every report byte for byte.
+
+The gate designations (`ScenarioReport.expected`, gated verdict name -> wanted
+value, in verdict order) of the defaults and of the 31,416-point
+`constraint-check` grid are pinned the same way, by the sha256 of
+`json.dumps(list(report.expected.items()))`.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -106,3 +112,30 @@ def test_default_text_output_hash(fmt, name, tmp_path):
 def test_large_grid_output_hash(name, tmp_path):
     args, digest = LARGE_GRIDS[name]
     assert hashlib.sha256(_run(args, tmp_path)).hexdigest() == digest
+
+
+DESIGNATION_ARGS = {
+    **DEFAULTS,
+    "constraint-check-grid": ("constraint-check", "--angles", "0:3.14159:0.0001"),
+}
+
+DESIGNATION_DIGESTS = {
+    "bell-toy": "78b9fcd9055735f45289f607d8e550e76c70812bfe2642ff79e87be7953af456",
+    "chsh": "b10ae27a6791378ef6b3e2310f320b4ae219ff89c737e7826d191025fe358425",
+    "constraint-check": "2a6e0b934ad45979be07ffe28ad39b0c00efefa033fa91ebe3ee55785631b4f2",
+    "constraint-check-grid": "5cbd90ae59d1de94187a14eeaed9f4f211fc50ce29d0b705dca370968de5bab2",
+    "epr-scan-anticorrelated": "bd7d7a815daf24175daedcd7849bcf9a7d3114d8cd971fcd569fedec7b12da2d",
+    "epr-scan-original": "2c95d9d38fbb44e5be707dc425ec56ec22370a996775639079a5be886550e5b1",
+    "sequential-bell-hemisphere": "ccfb712831aa242bf2952f59b276a0c10935086ae352492d02a0f2aeb1322ae8",
+    "sequential-bell-static": "cd4410d34a0ec3a8eb17b37d20a348c4330896ea1f490d08051a1bc5ac91ad0a",
+    "sequential-clifford": "91353bde0d5f8be2654f02f512e437ef658ef758a4fc3d2ccda9e9f9cb8209a3",
+    "three-particle": "2fcfc47cd6a261f4eec9ac560540aa3c35dff9a898efdee8e32a1aa7bf1d62b3",
+    "update-rule-search": "9dca9ff1d221aae49be5cb90aa33731c571bb3f997bb1643bdec51fe96986c3c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNATION_DIGESTS))
+def test_gate_designation_hash(name):
+    report = cli.run_scenario(cli.parse_args(["run", *DESIGNATION_ARGS[name], "--seed", "42"]))
+    text = json.dumps(list(report.expected.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == DESIGNATION_DIGESTS[name]
