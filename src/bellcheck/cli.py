@@ -22,9 +22,7 @@ invalid parameters (including non-finite angles, grids of more than
 for internal errors, 3 when the output path cannot be written.  Identical
 invocations produce byte-identical output.  BELLCHECK_SEED overrides the
 default seed when --seed is absent.  Angles are radians; CSV is
-comma-separated, UTF-8, LF.  The JSON report does not carry the gate
-designation, so ScenarioReport.from_json_dict gates a report read back on
-every verdict being true.
+comma-separated, UTF-8, LF.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ class HiddenState:
 
 MU_PLUS = HiddenState(1)
 MU_MINUS = HiddenState(-1)
-MU_STATES = (MU_PLUS, MU_MINUS)
 
 
 @dataclass(frozen=True)

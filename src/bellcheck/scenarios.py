@@ -6,11 +6,9 @@ exact enumerations; only the continuous lambda of Bell's toy model is
 estimated by seeded Monte Carlo, with standard errors reported.
 
 Verdict booleans record comparison outcomes (does the model match the
-reference?).  Each runner files every verdict once, together with its gate
-designation: the value it must take for the run to count as reproducing the
-documented behaviour, or INFO when it is informational.  The designations
-collect in `expected`, and `gate_passed()` folds them into the process exit
-code.
+reference?).  GATES declares the value each must take for the run to count
+as reproducing the documented behaviour, from the report's own content, so
+a report read back from JSON gates the same way.
 
 Report keys of the form "<group>:<field>" describe one grid point or one
 searched configuration; plain keys are scenario-level values.  Grid runners
@@ -65,6 +63,33 @@ BELL_UPDATE_NOTE = (
 
 # Gate designation of a verdict that is reported but not gated.
 INFO = None
+
+
+def _parallel_pairs(parameters: dict, groups: list[str]) -> list[bool]:
+    """Whether a and b of each "pair[i]" group are parallel or antiparallel,
+    i.e. every commutator coefficient 2(a x b)_k is within EXACT_TOL of zero.
+    Reads the 12-digit text parameters["pair[i]"] in one bulk parse; that
+    rounding is the one approximation in the gate designations."""
+    text = " ".join([parameters[g] for g in groups]).translate(str.maketrans("", "", "ab=();"))
+    a, b = np.array(text.split(), dtype=float).reshape(-1, 2, 3).transpose(1, 0, 2)
+    return np.all(np.abs(2.0 * np.cross(a, b)) <= EXACT_TOL, axis=1).tolist()
+
+
+# (scenario_name, parameters.get("model")) -> verdict -> the value it must take
+# for exit code 0, or INFO.  A grouped verdict "<group>:<field>" is listed by
+# its field, a plain one by its name; unlisted verdicts must be true.  A
+# callable maps (parameters, groups carrying the field) to their values.
+GATES = {
+    ("sequential", "clifford"): {"P_zz_matches_qm": INFO, "P_zx_matches_qm": INFO},
+    ("sequential", "bell-static"): {"P_zxz_matches_qm": False, "P_zxz_mc_matches_qm": False},
+    ("update-rule-search", None): {"feasible": False},
+    ("three-particle", None): {
+        "pattern_at_mu_plus": INFO, "pattern_at_mu_minus": INFO,
+        "marginals_deterministic": False, "forced_bc_matches_qm": False,
+        "consistent": lambda _, groups: [INFO if g.startswith("ctrl=") else False for g in groups],
+    },
+    ("constraint-check", None): {"commutator_zero": _parallel_pairs, "normalization_holds": False},
+}
 
 # Monte Carlo runners draw O(samples) memory, so the sample count is capped.
 MAX_SAMPLES = 10_000_000
@@ -169,35 +194,28 @@ class ScenarioReport:
     exact_results: dict
     mc_results: dict[str, McResult] = field(default_factory=dict)
     qm_reference: dict[str, float] = field(default_factory=dict)
-    # Filled by _file, one verdict at a time.
     verdicts: dict[str, bool] = field(default_factory=dict)
     seed: int = 0
-    # Gating designation, filed only together with a verdict by _file.
-    # Not part of the serialized report.
-    _gates: dict[str, bool] = field(default_factory=dict, init=False, repr=False)
+
+    def _designations(self) -> list[bool | None]:
+        """The GATES value of each verdict, in verdict order."""
+        gates = GATES.get((self.scenario_name, self.parameters.get("model")), {})
+        wants = [gates.get(name.rpartition(":")[2], True) for name in self.verdicts]
+        for rule in filter(callable, gates.values()):
+            groups = [n.rpartition(":")[0] for n, w in zip(self.verdicts, wants) if w is rule]
+            resolved = iter(rule(self.parameters, groups))
+            wants = [next(resolved) if w is rule else w for w in wants]
+        return wants
 
     @property
     def expected(self) -> dict[str, bool]:
-        """Gated verdict name -> value required for exit code 0; names
-        absent here are informational."""
-        return self._gates
-
-    def _file(self, name: str, ok: bool, want: bool | None = True) -> None:
-        """Record verdict `name` with the value `want` it must take for
-        gate_passed(), or with INFO to leave it ungated."""
-        self._file_many((name,), (ok,), (want,))
-
-    def _file_many(self, names: Sequence[str], oks: Iterable[bool],
-                   wants: Iterable[bool | None]) -> None:
-        """_file for each of the parallel names, oks and wants, in order."""
-        self.verdicts.update(zip(names, oks))
-        self._gates.update((name, want) for name, want in zip(names, wants)
-                           if want is not INFO)
+        """Gated verdict name -> value required for exit code 0, in verdict order."""
+        return {name: want for name, want in zip(self.verdicts, self._designations())
+                if want is not INFO}
 
     def gate_passed(self) -> bool:
-        if not self.expected:
-            return all(self.verdicts.values())
-        return all(self.verdicts.get(name) == want for name, want in self.expected.items())
+        return all(want is INFO or ok == want
+                   for ok, want in zip(self.verdicts.values(), self._designations()))
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -320,8 +338,8 @@ def run_epr_scan(angle_grid: Sequence[float],
         }))),
         qm_reference=dict(zip(*_by_point(groups, {"qm": qm_values.tolist()}))),
     )
-    report._file_many(*_by_point(groups, {verdict: oks.tolist()}), itertools.repeat(True))
-    report._file("all_points_as_predicted", bool(oks.all()))
+    report.verdicts.update(zip(*_by_point(groups, {verdict: oks.tolist()})))
+    report.verdicts["all_points_as_predicted"] = bool(oks.all())
     return report
 
 
@@ -372,10 +390,10 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
         exact_results={"model_scalar_chsh": model_chsh},
         mc_results=mc,
         qm_reference={"chsh": qm, "local_bound": 2.0, "tsirelson_bound": tsirelson},
+        verdicts={"qm_chsh_at_tsirelson": abs(qm - tsirelson) <= 1e-9,
+                  "model_scalar_chsh_matches_qm": abs(model_chsh - qm) <= EXACT_TOL},
         seed=seed,
     )
-    report._file("qm_chsh_at_tsirelson", abs(qm - tsirelson) <= 1e-9)
-    report._file("model_scalar_chsh_matches_qm", abs(model_chsh - qm) <= EXACT_TOL)
 
     if samples > 0:
         rng = np.random.default_rng(seed)
@@ -385,7 +403,7 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
         s_est = quantum.chsh_combination(*(term.estimate for term in terms.values()))
         s_se = math.sqrt(sum(t.standard_error ** 2 for t in terms.values()))
         mc["bell_static_chsh"] = McResult(s_est, s_se, samples)
-        report._file("bell_static_within_local_bound", s_est <= 2.0 + 3.0 * s_se)
+        report.verdicts["bell_static_within_local_bound"] = s_est <= 2.0 + 3.0 * s_se
     return report
 
 
@@ -445,8 +463,9 @@ def run_sequential(model: str = "clifford",
     qm_ref = _sequential_qm_refs()
     exact: dict = {}
     mc: dict[str, McResult] = {}
+    verdicts: dict[str, bool] = {}
     parameters: dict = {"model": model, "samples": samples}
-    report = ScenarioReport("sequential", parameters, exact, mc, qm_ref, seed=seed)
+    report = ScenarioReport("sequential", parameters, exact, mc, qm_ref, verdicts, seed)
 
     if model == "clifford":
         if rule is None:
@@ -455,11 +474,9 @@ def run_sequential(model: str = "clifford",
         parameters["flip_prob_after_z"] = p_flip
         exact["P_zz"] = 1.0 - p_flip
         exact["P_zx"] = 1.0 - p_flip
-        m_zz = abs(exact["P_zz"] - qm_ref["P_zz"]) <= EXACT_TOL
-        m_zx = abs(exact["P_zx"] - qm_ref["P_zx"]) <= EXACT_TOL
-        report._file("P_zz_matches_qm", m_zz, INFO)
-        report._file("P_zx_matches_qm", m_zx, INFO)
-        report._file("defect_demonstrated", not (m_zz and m_zx))
+        m_zz = verdicts["P_zz_matches_qm"] = abs(exact["P_zz"] - qm_ref["P_zz"]) <= EXACT_TOL
+        m_zx = verdicts["P_zx_matches_qm"] = abs(exact["P_zx"] - qm_ref["P_zx"]) <= EXACT_TOL
+        verdicts["defect_demonstrated"] = not (m_zz and m_zx)
         qm_ref.pop("P_zxz")
         return report
 
@@ -479,14 +496,11 @@ def run_sequential(model: str = "clifford",
     mc["P_zx"] = _proportion(after_z[:, 0] >= 0.0)
     mc["P_zxz"] = _proportion(after_zx[:, 2] >= 0.0)
 
-    for name in ("P_zz", "P_zx", "P_zxz"):
-        want = not (static and name == "P_zxz")
-        est = mc[name]
-        report._file(f"{name}_matches_qm", abs(exact[name] - qm_ref[name]) <= EXACT_TOL, want)
-        report._file(f"{name}_mc_matches_qm",
-                     abs(est.estimate - qm_ref[name]) <= 3.0 * est.standard_error, want)
+    for name, m in mc.items():
+        verdicts[f"{name}_matches_qm"] = abs(exact[name] - qm_ref[name]) <= EXACT_TOL
+        verdicts[f"{name}_mc_matches_qm"] = abs(m.estimate - qm_ref[name]) <= 3.0 * m.standard_error
     if static:
-        report._file("third_measurement_defect", not report.verdicts["P_zxz_matches_qm"])
+        verdicts["third_measurement_defect"] = not verdicts["P_zxz_matches_qm"]
     return report
 
 
@@ -531,7 +545,7 @@ def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
         exact_results=exact,
         qm_reference={"P_zz": 1.0, "P_zx": 0.5},
     )
-    report._file_many(*_by_point(groups, {"feasible": oks.tolist()}), itertools.repeat(False))
+    report.verdicts.update(zip(*_by_point(groups, {"feasible": oks.tolist()})))
 
     exact["feasible_count"] = len(feasible)
     exact["relaxed_repeat_count"] = len(relaxed_repeat)
@@ -540,9 +554,9 @@ def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
         exact["relaxed_repeat_first"] = relaxed_repeat[0]
     if relaxed_uniform:
         exact["relaxed_uniform_first"] = relaxed_uniform[0]
-    report._file("feasible_set_empty", not feasible)
-    report._file("relaxed_repeat_nonempty", bool(relaxed_repeat))
-    report._file("relaxed_uniform_nonempty", bool(relaxed_uniform))
+    report.verdicts["feasible_set_empty"] = not feasible
+    report.verdicts["relaxed_repeat_nonempty"] = bool(relaxed_repeat)
+    report.verdicts["relaxed_uniform_nonempty"] = bool(relaxed_uniform)
     return report
 
 
@@ -603,37 +617,33 @@ def run_three_particle_search() -> ScenarioReport:
         exact_results=exact,
         qm_reference=qm_ref,
     )
+    verdicts = report.verdicts
 
-    visited = 0
     consistent: list[str] = []
-    best: tuple[float, str, dict[str, float]] | None = None
+    # (total error, code, per-pair errors) of each assignment, in search order
+    searched: list[tuple[float, str, dict[str, float]]] = []
     for meters in itertools.product(_METER_OPTIONS, repeat=3):
-        visited += 1
         code = _assignment_code(meters)
         g = f"assign={code}"
         errors: dict[str, float] = {}
-        ok = True
         for name, i, j in pair_names:
             alg = alg_by_pair[meters[i], meters[j]]
             exact[f"{g}:{name}_alg"] = alg
             exact[f"{g}:{name}_out"] = out_by_pair[meters[i], meters[j]]
             errors[name] = abs(alg - qm_ref[name])
-            ok = ok and errors[name] <= EXACT_TOL
+        ok = all(err <= EXACT_TOL for err in errors.values())
         total_err = sum(errors.values())
         exact[f"{g}:err_total"] = total_err
 
         at_plus = tuple(meter_outcome(m, E_Z, HiddenState(1)) for m in meters)
         at_minus = tuple(meter_outcome(m, E_Z, HiddenState(-1)) for m in meters)
-        report._file(f"{g}:pattern_at_mu_plus", at_plus == pattern, INFO)
-        report._file(f"{g}:pattern_at_mu_minus", at_minus == pattern, INFO)
-        report._file(f"{g}:marginals_deterministic",
-                     at_plus == pattern and at_minus == pattern, False)
-        report._file(f"{g}:consistent", ok, False)
+        verdicts[f"{g}:pattern_at_mu_plus"] = at_plus == pattern
+        verdicts[f"{g}:pattern_at_mu_minus"] = at_minus == pattern
+        verdicts[f"{g}:marginals_deterministic"] = at_plus == pattern and at_minus == pattern
+        verdicts[f"{g}:consistent"] = ok
         if ok:
             consistent.append(code)
-        key = (total_err, code)
-        if best is None or key < (best[0], best[1]):
-            best = (total_err, code, errors)
+        searched.append((total_err, code, errors))
 
     control_consistent = 0
     for meters in meter_pairs:
@@ -642,7 +652,7 @@ def run_three_particle_search() -> ScenarioReport:
         alg = alg_by_pair[meters]
         exact[f"{g}:E_AB_alg"] = alg
         ok = abs(alg - qm_ref["control_E_AB"]) <= EXACT_TOL
-        report._file(f"{g}:consistent", ok, INFO)
+        verdicts[f"{g}:consistent"] = ok
         if ok:
             control_consistent += 1
 
@@ -655,21 +665,21 @@ def run_three_particle_search() -> ScenarioReport:
     forced_bc = alg_by_pair[forced_b, forced_c]
     exact["forced_E_AC_alg"] = forced_ac
     exact["forced_E_BC_alg"] = forced_bc
-    report._file("forced_ac_matches_qm", abs(forced_ac - qm_ref["E_AC"]) <= EXACT_TOL)
-    report._file("forced_bc_matches_qm", abs(forced_bc - qm_ref["E_BC"]) <= EXACT_TOL, False)
+    verdicts["forced_ac_matches_qm"] = abs(forced_ac - qm_ref["E_AC"]) <= EXACT_TOL
+    verdicts["forced_bc_matches_qm"] = abs(forced_bc - qm_ref["E_BC"]) <= EXACT_TOL
 
-    exact["configurations_visited"] = visited
+    exact["configurations_visited"] = len(searched)
     exact["consistent_assignments"] = len(consistent)
     exact["control_consistent_count"] = control_consistent
-    assert best is not None
+    best = min(searched)  # codes are unique, so the error dicts are never compared
     exact["best_assignment"] = best[1]
     for name, _, _ in pair_names:
         exact[f"best_err_{name[2:]}"] = best[2][name]
     exact["best_err_total"] = best[0]
 
-    report._file("consistent_set_empty", not consistent)
-    report._file("control_consistent_nonempty", control_consistent > 0)
-    report._file("search_visited_declared_count", visited == 64)
+    verdicts["consistent_set_empty"] = not consistent
+    verdicts["control_consistent_nonempty"] = control_consistent > 0
+    verdicts["search_visited_declared_count"] = len(searched) == 64
     return report
 
 
@@ -704,11 +714,6 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
     # the square's residual from the scalar 1.
     commutes = np.all(np.abs(audit.commutator_avg) <= EXACT_TOL, axis=1)
     normalized_ok = np.all(np.abs(audit.square_avg - ONE.coeffs) <= EXACT_TOL, axis=1)
-    # Prediction straight from the inputs: only parallel pairs commute,
-    # and the normalization target is never met.
-    dot_ab = (a_dirs[:, 0] * b_dirs[:, 0] + a_dirs[:, 1] * b_dirs[:, 1]
-              + a_dirs[:, 2] * b_dirs[:, 2])
-    parallel = np.abs(np.abs(dot_ab) - 1.0) <= FEASIBILITY_TOL
 
     groups = [f"pair[{i}]" for i in range(len(pairs))]
     parameters.update(zip(groups, (
@@ -730,15 +735,13 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
         exact_results=exact,
         qm_reference={"commutator_target": 0.0, "square_target": 1.0},
     )
-    report._file_many(
-        *_by_point(groups, {"commutator_zero": commutes.tolist(),
-                            "normalization_holds": normalized_ok.tolist()}),
-        itertools.chain.from_iterable(zip(parallel.tolist(), itertools.repeat(False))))
+    report.verdicts.update(zip(*_by_point(groups, {"commutator_zero": commutes.tolist(),
+                                                   "normalization_holds": normalized_ok.tolist()})))
 
     normalization_violations = int(np.count_nonzero(~normalized_ok))
     exact["commutator_violations"] = int(np.count_nonzero(~commutes))
     exact["normalization_violations"] = normalization_violations
-    report._file("normalization_violated_for_all", normalization_violations == len(pairs))
+    report.verdicts["normalization_violated_for_all"] = normalization_violations == len(pairs)
     return report
 
 
@@ -778,23 +781,22 @@ def run_bell_toy(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     mc["static_third"] = _proportion(_static_posterior(lam0)[1][:, 2] >= 0.0)
     mc["hemisphere_third"] = _proportion(_hemisphere_chain(lam0, rng)[1][:, 2] >= 0.0)
 
-    report = ScenarioReport(
+    static, hemisphere = mc["static_third"], mc["hemisphere_third"]
+    return ScenarioReport(
         scenario_name="bell-toy",
         parameters={"samples": samples, "pole": "ez", "note": BELL_UPDATE_NOTE},
         exact_results=exact,
         mc_results=mc,
         qm_reference={"P_third": qm_third},
+        verdicts={
+            "hemisphere_mean_cos_ok": abs(mc["hemisphere_mean_cos"].estimate - 0.5) <= 0.01,
+            "hemisphere_support_ok": mc["hemisphere_support"].estimate == 1.0,
+            "hemisphere_transverse_ok": abs(mc["hemisphere_mean_transverse"].estimate) <= 0.01,
+            "static_third_is_one": static.estimate == 1.0,
+            "static_third_fails_qm":
+                abs(static.estimate - qm_third) > 3.0 * static.standard_error,
+            "hemisphere_third_matches_qm":
+                abs(hemisphere.estimate - qm_third) <= 3.0 * hemisphere.standard_error,
+        },
         seed=seed,
     )
-    static, hemisphere = mc["static_third"], mc["hemisphere_third"]
-    report._file("hemisphere_mean_cos_ok",
-                 abs(mc["hemisphere_mean_cos"].estimate - 0.5) <= 0.01)
-    report._file("hemisphere_support_ok", mc["hemisphere_support"].estimate == 1.0)
-    report._file("hemisphere_transverse_ok",
-                 abs(mc["hemisphere_mean_transverse"].estimate) <= 0.01)
-    report._file("static_third_is_one", static.estimate == 1.0)
-    report._file("static_third_fails_qm",
-                 abs(static.estimate - qm_third) > 3.0 * static.standard_error)
-    report._file("hemisphere_third_matches_qm",
-                 abs(hemisphere.estimate - qm_third) <= 3.0 * hemisphere.standard_error)
-    return report

@@ -242,9 +242,9 @@ def test_csv_header_keeps_first_appearance_across_sections():
         mc_results={"g2:m": McResult(0.25, 0.125, 10), "pooled": McResult(0.5, 0.1, 20)},
         qm_reference={"g1:c": -1.0, "bound": 2.0},
     )
-    report._file("g1:ok", True)
-    report._file("g2:ok", False)
-    report._file("all_ok", True)
+    report.verdicts["g1:ok"] = True
+    report.verdicts["g2:ok"] = False
+    report.verdicts["all_ok"] = True
     assert cli.emit_csv(report) == (
         "point,a,b,m:estimate,m:standard_error,m:samples,c,verdict\n"
         "g1,1,,,,,-1,ok\n"

@@ -1,0 +1,121 @@
+"""Gate designations come from the report's own content.
+
+`ScenarioReport.expected` and `gate_passed()` read `scenarios.GATES` with the
+report's scenario name, parameters and verdict names, so a report read back
+from its JSON text gates exactly as the one that wrote it.
+"""
+
+import json
+import os
+import tempfile
+from unittest import mock
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from bellcheck import cli
+from bellcheck.scenarios import ScenarioReport
+from test_golden import DEFAULTS
+
+# Both gate False at these seeds: a 3-sigma or 0.01 Monte Carlo check misses.
+FAILING_SEEDS = {
+    "bell-toy-seed-2": ("bell-toy", "--samples", "10000", "--seed", "2"),
+    "chsh-seed-123": ("chsh", "--samples", "10000", "--seed", "123"),
+}
+
+
+def _report(args) -> ScenarioReport:
+    return cli.run_scenario(cli.parse_args(["run", *args]))
+
+
+def _read_back(report: ScenarioReport) -> ScenarioReport:
+    return ScenarioReport.from_json_dict(json.loads(report.to_json()))
+
+
+@pytest.mark.parametrize("name", sorted({**DEFAULTS, **FAILING_SEEDS}))
+def test_json_round_trip_keeps_the_gate(name):
+    report = _report({**DEFAULTS, **FAILING_SEEDS}[name])
+    back = _read_back(report)
+    assert list(back.expected.items()) == list(report.expected.items())
+    assert back.gate_passed() == report.gate_passed() == (name in DEFAULTS)
+
+
+@pytest.mark.parametrize("angles", [
+    "0:0.00001:0.00001",
+    "3.14159:3.1416:0.00001",
+    # The near-parallel points of -3.2:3.2:0.0000449, around -pi, 0 and pi.
+    "-3.14163:-3.1415851:0.0000449",
+    "-0.0000219:0.000023:0.0000449",
+    "3.1415862:3.1416311:0.0000449",
+    # Commutator coefficients 2 sin(theta) just below and just above 1e-12.
+    "0:4e-13:4e-13",
+    "0:6e-13:6e-13",
+])
+def test_near_parallel_constraint_check_pairs_exit_0(angles, tmp_path):
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", "constraint-check", f"--angles={angles}",
+                     "--format", "csv", "--out", str(out)]) == 0
+
+
+def test_parallel_designation_reads_the_recorded_pair_text():
+    report = _report(("constraint-check", "--angles", "0:6e-13:2e-13"))
+    assert [report.expected[f"pair[{i}]:commutator_zero"] for i in range(4)] == [
+        True, True, True, False]
+    assert _read_back(report).expected == report.expected
+
+
+# -- bounded CLI fuzz --------------------------------------------------------
+
+_FLAG_VALUES = {
+    "--samples": st.one_of(st.just(0), st.integers(10_000, 20_000)).map(str),
+    "--mode": st.sampled_from(sorted({m for _, m in cli.REGISTRY if m} | {"bogus"})),
+    "--flip-prob": st.floats(-0.1, 1.1).map(repr),
+    "--grid-step": st.floats(0.01, 0.2).map(repr),
+    "--angles": st.tuples(st.floats(-4.0, 4.0), st.floats(0.01, 1.0),
+                          st.integers(0, 4)).map(
+        lambda t: f"{t[0]!r}:{t[0] + t[1] * t[2]!r}:{t[1]!r}"),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """A scenario/mode with some of the flags it reads and at most one flag
+    drawn from all of them, which it may not read (exit 2)."""
+    (scenario, mode), variant = draw(st.sampled_from(list(cli.REGISTRY.items())))
+    args = [scenario] + ([f"--mode={mode}"] if mode else [])
+    flags = [f for f in variant.flags if f != "--mode"]
+    flags.append(draw(st.sampled_from(sorted(_FLAG_VALUES))))
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=2, unique=True)):
+        args.append(f"{flag}={draw(_FLAG_VALUES[flag])}")
+    args += ["--seed", str(draw(st.integers(0, 2 ** 64 - 1))),
+             "--format", draw(st.sampled_from(cli.FORMATS))]
+    return args, draw(st.integers(0, 9)) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_invocations())
+def test_cli_exit_code_agrees_with_the_gate(invocation):
+    args, writable = invocation
+    reports = []
+    real = cli.run_scenario
+
+    def recording(config):
+        reports.append(real(config))
+        return reports[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "run_scenario", recording), \
+            mock.patch("sys.stderr"):
+        # A directory as --out cannot be opened for writing: exit 3.
+        out = os.path.join(tmp, "report") if writable else tmp
+        try:
+            code = cli.main(["run", *args, "--out", out])
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit code {code}")
+    assert code in {0, 1, 2, 3}
+    if code in (0, 1):
+        (report,) = reports
+        assert report.gate_passed() == (code == 0)
+    for report in reports:
+        assert _read_back(report).gate_passed() == report.gate_passed()

@@ -416,7 +416,7 @@ def _reports(draw):
         seed=draw(st.integers(0, 2 ** 64 - 1)),
     )
     for name, ok in draw(st.dictionaries(_KEYS, st.booleans(), max_size=4)).items():
-        report._file(name, ok)
+        report.verdicts[name] = ok
     return report
 
 
