@@ -40,6 +40,25 @@ def test_json_round_trip_keeps_the_gate(name):
     assert back.gate_passed() == report.gate_passed() == (name in DEFAULTS)
 
 
+READ_BACK = {
+    **DEFAULTS, **FAILING_SEEDS,
+    "epr-scan-grid": ("epr-scan", "--angles=-0.5:3.5:0.25"),
+    "epr-scan-anticorrelated-grid": (
+        "epr-scan", "--mode", "anticorrelated", "--angles", "0:1e-3:2.5e-4"),
+    "constraint-check-grid": ("constraint-check", "--angles=-3.2:3.2:0.4"),
+    "constraint-check-near-parallel": ("constraint-check", "--angles", "0:6e-13:2e-13"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_BACK))
+def test_json_round_trip_keeps_every_format(name):
+    report = _report(READ_BACK[name])
+    back = _read_back(report)
+    assert back.to_json() == report.to_json()
+    assert cli.emit_csv(back) == cli.emit_csv(report)
+    assert cli.emit_table(back) == cli.emit_table(report)
+
+
 @pytest.mark.parametrize("angles", [
     "0:0.00001:0.00001",
     "3.14159:3.1416:0.00001",
