@@ -28,6 +28,7 @@ comma-separated, UTF-8, LF.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -37,7 +38,8 @@ from typing import Callable, NamedTuple
 from . import scenarios
 from .clifford import Multivector
 from .models import UpdateRule
-from .scenarios import ScenarioReport, _fmt, closed_grid
+from .report import _block_lines, _fmt, _fmt_all, _grid_texts, _split, _values
+from .scenarios import ScenarioReport, closed_grid
 
 FORMATS = ("table", "json", "csv")
 
@@ -139,7 +141,7 @@ def parse_args(argv: list[str]) -> RunConfig:
                           f"${SEED_ENV_VAR} when set)")
     run.add_argument("--format", choices=FORMATS, default="table")
     run.add_argument("--angles", default=None, metavar="START:STOP:STEP",
-                     help="angle grid in radians (default 0:pi:pi/36)")
+                     help="angle grid in radians (default 0:pi:pi/36); START may be negative")
     modes_help = ", ".join(f"{name} {{{'|'.join(_modes(name))}}}"
                            for name in names if _modes(name))
     run.add_argument("--mode", default=None,
@@ -152,7 +154,16 @@ def parse_args(argv: list[str]) -> RunConfig:
                           f"(default {DEFAULT_GRID_STEP})")
     run.add_argument("--out", default=None, help="write the report here")
 
-    ns = parser.parse_args(argv)
+    # argparse reads "--angles -0.1:0:0.1" as two options; join them as
+    # "--angles=-0.1:0:0.1" (or an abbreviation of --angles) would be.
+    args: list[str] = []
+    for arg in argv:
+        if (args and len(args[-1]) > 2 and "--angles".startswith(args[-1])
+                and arg.startswith("-") and not arg.startswith("--")):
+            args[-1] = f"{args[-1]}={arg}"
+        else:
+            args.append(arg)
+    ns = parser.parse_args(args)
 
     modes = _modes(ns.scenario)
     if modes and ns.mode is not None and ns.mode not in modes:
@@ -222,77 +233,82 @@ def _text(value) -> str:
     return str(value)
 
 
+def _param_text(value) -> str:
+    return " ".join(map(_text, value)) if isinstance(value, (list, tuple)) else _text(value)
+
+
 def _split_groups(report: ScenarioReport):
-    """Partition report entries into a table of per-group rows and a list
-    of scenario-level (name, text) pairs.
+    """Report entries as a table of per-group rows, column by column, and
+    a list of scenario-level (name, text) pairs.
 
-    Keys "<group>:<field>" feed one row per group.  The table's header row
-    is "point", the fields in order of first appearance, and "verdict" (the
-    group's verdicts that hold); the table is empty when no key is grouped.
+    Keys "<group>:<field>", which report._split puts in Grids, feed one
+    row per group.  Each column starts with its header: "point", the fields
+    in order of first appearance, and "verdict" (the group's verdicts that
+    hold); the table is empty when no key is grouped.
     """
-    groups: dict[str, dict[str, str]] = {}
-    fields: dict[str, None] = {}
+    rows: dict[str, int] = {}
+    cells: dict[str, dict[int, str]] = {}  # field -> row -> text
     plain: list[tuple[str, str]] = []
-    group_verdicts: dict[str, list[str]] = {}
 
-    def add(entries):
-        for key, text in entries:
-            group, grouped, field_name = key.partition(":")
-            if grouped:
-                row = groups.get(group)
-                if row is None:
-                    row = groups[group] = {}
-                row[field_name] = text
-                fields[field_name] = None
-            else:
-                plain.append((key, text))
+    def file(blocks: list, prefix: str = "") -> None:
+        for block in _split(blocks):
+            if isinstance(block, dict):
+                plain.extend((prefix + key, _text(value)) for key, value in block.items())
+                continue
+            at = [rows.setdefault(g, len(rows)) for g in block.labels]
+            for name, texts in _grid_texts(block, _text, _fmt_all).items():
+                cells.setdefault(name, {}).update(zip(at, texts))
 
-    add((key, _text(value)) for key, value in report.exact_results.items())
+    file(report.exact_results.blocks)
     for key, m in report.mc_results.items():
         sep = ":" if ":" in key else "."
-        add(((f"{key}{sep}estimate", _text(m.estimate)),
-             (f"{key}{sep}standard_error", _text(m.standard_error)),
-             (f"{key}{sep}samples", str(m.samples))))
+        file([{f"{key}{sep}estimate": m.estimate, f"{key}{sep}standard_error": m.standard_error,
+               f"{key}{sep}samples": str(m.samples)}])
     # keep grouped fields as-is; label scenario-level ones as references
-    add((key if ":" in key else f"qm.{key}", _text(value))
-        for key, value in report.qm_reference.items())
-    for key, value in report.verdicts.items():
-        group, grouped, name = key.partition(":")
-        if not grouped:
-            plain.append((key, _text(value)))
-        elif value:
-            group_verdicts.setdefault(group, []).append(name)
-    if not groups:
+    file(report.qm_reference.blocks, "qm.")
+    holding: dict[int, list[str]] = {}
+    for block in _split(report.verdicts.blocks):
+        if isinstance(block, dict):
+            plain.extend((key, _text(value)) for key, value in block.items())
+            continue
+        at = [rows.get(g) for g in block.labels]
+        for name, column in block.columns.items():
+            for row, holds in zip(at, map(bool, _values(column))):
+                if holds and row is not None:
+                    holding.setdefault(row, []).append(name)
+
+    if not rows:
         return [], plain
-    rows = [["point", *fields, "verdict"]]
-    rows += ([group, *[row.get(f, "") for f in fields], ";".join(group_verdicts.get(group, ()))]
-             for group, row in groups.items())
-    return rows, plain
+    every = range(len(rows))
+    return [["point", *rows], *([name, *map(cell.get, every, itertools.repeat(""))]
+                                for name, cell in cells.items()),
+            ["verdict", *map(";".join, map(holding.get, every, itertools.repeat(())))]], plain
 
 
 def emit_csv(report: ScenarioReport) -> str:
-    rows, plain = _split_groups(report)
-    lines = [",".join(row) for row in rows]
-    if rows and plain:
+    table, plain = _split_groups(report)
+    lines = list(map(",".join, zip(*table)))
+    if table and plain:
         lines.append("")
-    if plain or not rows:
+    if plain or not table:
         lines.append("name,value")
         lines.extend(f"{name},{value}" for name, value in plain)
     return "\n".join(lines) + "\n"
 
 
-def emit_table(report: ScenarioReport) -> str:
-    rows, plain = _split_groups(report)
+def emit_table(report: ScenarioReport, passed: bool) -> str:
+    """The report as aligned text; `passed` is report.gate_passed()."""
+    table, plain = _split_groups(report)
     lines = [f"scenario: {report.scenario_name}", f"seed: {report.seed}", "parameters:"]
-    for key, value in report.parameters.items():
-        if isinstance(value, (list, tuple)):
-            value = " ".join(_text(v) for v in value)
-        lines.append(f"  {key}: {_text(value)}")
+    for block in report.parameters.blocks:
+        lines.extend(_block_lines(block, "  ", str, _param_text, _fmt_all))
 
-    if rows:
-        pad = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows)).format
+    if table:
+        for column in table[:-1]:  # the last column's padding would be stripped
+            width = max(map(len, column))
+            column[:] = [text.ljust(width) for text in column]
         lines.append("")
-        lines.extend(pad(*row).rstrip() for row in rows)
+        lines.extend("  ".join(row).rstrip() for row in zip(*table))
 
     if plain:
         lines.append("")
@@ -301,26 +317,27 @@ def emit_table(report: ScenarioReport) -> str:
             lines.append(f"  {name}: {value}")
 
     lines.append("")
-    lines.append(f"gate: {'PASS' if report.gate_passed() else 'FAIL'}")
+    lines.append(f"gate: {'PASS' if passed else 'FAIL'}")
     if "consistent_assignments" in report.exact_results:
         count = int(report.exact_results["consistent_assignments"])
         lines.append(f"consistent assignments: {count}")
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ScenarioReport, config: RunConfig) -> str:
+def emit_report(report: ScenarioReport, config: RunConfig, passed: bool) -> str:
     if config.format == "json":
         return report.to_json()
     if config.format == "csv":
         return emit_csv(report)
-    return emit_table(report)
+    return emit_table(report, passed)
 
 
 def main(argv: list[str] | None = None) -> int:
     config = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report = run_scenario(config)
-        text = emit_report(report, config)
+        passed = report.gate_passed()
+        text = emit_report(report, config, passed)
     except ValueError as exc:
         print(f"bellcheck: error: {exc}", file=sys.stderr)
         return 2
@@ -341,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
             return 3
     else:
         sys.stdout.write(text)
-    return 0 if report.gate_passed() else 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -1,0 +1,249 @@
+"""The report store and its text writers.
+
+A report section is a Section: an ordered list of blocks, each a dict or a
+Grid of group labels and named columns, read and written as one dict whose
+keys run in block order.  Grid runners fill whole columns from arrays; the
+JSON writer here and the CLI's CSV and table writers format each column
+once and zip the lines point by point, without building a dict of a
+section or a Multivector per row.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import json
+from collections.abc import MutableMapping
+from dataclasses import dataclass
+from json.encoder import encode_basestring
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
+
+from .clifford import BASIS_LABELS, Multivector
+
+
+def _fmt(x: float) -> str:
+    """The 12-significant-digit text of a float, as every report prints it."""
+    return f"{x:.12g}"
+
+
+def _json_number(x: float) -> str:
+    """JSON text of x rounded to 12 significant digits: the shortest repr of
+    the rounded value, with NaN and Infinity for non-finite values.
+
+    Exponent and non-finite forms are tested first, because repr writes
+    1e12 <= |x| < 1e16 in positional notation where _fmt uses an exponent."""
+    t = _fmt(x)
+    if "e" in t or "n" in t:
+        return json.dumps(float(t))
+    return t if "." in t else t + ".0"
+
+
+def _fmt_all(values: list[float]) -> list[str]:
+    """_fmt of each value: "%.12g" % x is the same text, made faster."""
+    return ["%.12g" % x for x in values]
+
+
+def _json_numbers(values: list[float]) -> list[str]:
+    """_json_number of each value; plain positional text is kept as it is."""
+    return [t if "." in t and "e" not in t else _json_number(x)
+            for x, t in zip(values, _fmt_all(values))]
+
+
+@dataclass
+class Grid:
+    """A block of report entries: one row per group label, one column per
+    field.  Its keys are "<label>:<field>", point by point with the fields
+    in column order; the field None keys an entry by its label alone.
+    Labels hold no ":".  A column is a list of values, a 1-D numpy array
+    holding the values its tolist() gives, or an (N, 8) coefficient array
+    holding Multivectors."""
+
+    labels: list[str]
+    columns: dict
+
+    @functools.cached_property
+    def rows(self) -> dict[str, int]:
+        """Label -> row."""
+        return dict(zip(self.labels, range(len(self.labels))))
+
+
+def _grid_keys(grid: Grid, field: str | None) -> list[str]:
+    return grid.labels if field is None else [f"{label}:{field}" for label in grid.labels]
+
+
+def _values(column) -> list:
+    if isinstance(column, np.ndarray):
+        return [Multivector(row) for row in column.tolist()] if column.ndim == 2 else column.tolist()
+    return column
+
+
+def _keys(block) -> Iterable[str]:
+    if isinstance(block, dict):
+        return iter(block)
+    return itertools.chain.from_iterable(zip(*[_grid_keys(block, f) for f in block.columns]))
+
+
+def _items(block) -> Iterable[tuple[str, object]]:
+    """A block's (key, value) entries, in key order."""
+    if isinstance(block, dict):
+        return block.items()
+    values = zip(*map(_values, block.columns.values()))
+    return zip(_keys(block), itertools.chain.from_iterable(values))
+
+
+class Section(MutableMapping):
+    """A report section: a list of blocks (dicts and Grids) that hold
+    distinct keys, read and written as one dict whose keys run in block
+    order.  A write goes to the block holding the key, and a new key to a
+    dict block at the end; nothing builds a dict of the whole section."""
+
+    def __init__(self, blocks: list):
+        self.blocks = blocks
+
+    def _find(self, key: str) -> tuple:
+        """(dict, key, None) or (grid, field, row) of the entry `key`."""
+        label, grouped, field = key.partition(":")
+        field = field if grouped else None
+        for block in self.blocks:
+            if isinstance(block, dict):
+                if key in block:
+                    return block, key, None
+            elif field in block.columns and label in block.rows:
+                return block, field, block.rows[label]
+        raise KeyError(key)
+
+    def __getitem__(self, key: str):
+        block, name, row = self._find(key)
+        if row is None:
+            return block[name]
+        column = block.columns[name]
+        if isinstance(column, np.ndarray):
+            return Multivector(column[row].tolist()) if column.ndim == 2 else column[row].item()
+        return column[row]
+
+    def __setitem__(self, key: str, value) -> None:
+        try:
+            block, name, row = self._find(key)
+        except KeyError:
+            if not self.blocks or not isinstance(self.blocks[-1], dict):
+                self.blocks.append({})
+            self.blocks[-1][key] = value
+            return
+        if row is None:
+            block[name] = value
+        else:
+            block.columns[name] = column = _values(block.columns[name])
+            column[row] = value
+
+    def __delitem__(self, key: str) -> None:
+        block, name, row = self._find(key)
+        if row is not None:  # a grid cannot lose one entry, so it becomes a dict
+            index = next(i for i, b in enumerate(self.blocks) if b is block)
+            block = self.blocks[index] = dict(_items(block))
+        del block[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain.from_iterable(map(_keys, self.blocks))
+
+    def __len__(self) -> int:
+        return sum(len(b) if isinstance(b, dict) else len(b.labels) * len(b.columns)
+                   for b in self.blocks)
+
+
+def _split(blocks: list) -> list:
+    """The blocks with every "<group>:<field>" key in a Grid: the entries of
+    dicts, and of grids keyed by label alone, are regrouped into one-row
+    Grids of consecutive keys of one group and dicts of plain keys."""
+    split: list = []
+    new = None  # the last block made here, which the next key may join
+    for block in blocks:
+        if isinstance(block, Grid) and None not in block.columns:
+            split.append(block)
+            new = None
+            continue
+        for key, value in _items(block):
+            label, grouped, field = key.partition(":")
+            if not grouped and not isinstance(new, dict):
+                split.append(new := {})
+            elif grouped and not (isinstance(new, Grid) and new.labels == [label]):
+                split.append(new := Grid([label], {}))
+            if grouped:
+                new.columns[field] = [value]
+            else:
+                new[key] = value
+    return split
+
+
+def _render_rows(coeffs: np.ndarray) -> list[str]:
+    """Multivector(row).render() of each row of an (N, 8) coefficient array."""
+    terms = [[f" {'-' if c < 0 else '+'} {abs(c):.12g}·{label}" if c != 0.0 else "" for c in column]
+             for column, label in zip(coeffs.T.tolist(), BASIS_LABELS) if any(column)]
+    return [(text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
+            for text in map("".join, zip(*terms))] if terms else ["0"] * len(coeffs)
+
+
+def _grid_texts(grid: Grid, text: Callable, numbers: Callable) -> dict[str | None, list[str]]:
+    """Field -> text of each value in its column: numbers(list) of a float
+    array, "true"/"false" of a bool mask, text() of anything else, with a
+    coefficient array's rows rendered first.  A column that several fields
+    share is formatted once."""
+    def texts(column) -> list[str]:
+        if not isinstance(column, np.ndarray):
+            return list(map(text, column))
+        if column.ndim == 2:
+            return list(map(text, _render_rows(column)))
+        if column.dtype == bool:
+            return ["true" if v else "false" for v in column.tolist()]
+        values = column.tolist()
+        return numbers(values) if column.dtype == np.float64 else list(map(text, values))
+
+    done: dict[int, list[str]] = {}
+    return {f: done[id(c)] if id(c) in done else done.setdefault(id(c), texts(c))
+            for f, c in grid.columns.items()}
+
+
+def _block_lines(block, prefix: str, quote: Callable, text: Callable,
+                 numbers: Callable) -> Iterable[str]:
+    """'<prefix><quote(key)>: <text>' of each entry of a block, in key order."""
+    if isinstance(block, dict):
+        return (f"{prefix}{quote(k)}: {text(v)}" for k, v in block.items())
+    columns = [[f"{prefix}{key}: {t}" for key, t in zip(map(quote, _grid_keys(block, f)), texts)]
+               for f, texts in _grid_texts(block, text, numbers).items()]
+    return itertools.chain.from_iterable(zip(*columns))
+
+
+def _json_object(blocks: list, indent: str) -> str:
+    """JSON text of the object of the blocks' entries, as json.dumps(indent=2)."""
+    inner = indent + "  "
+    text = functools.partial(_json_value, indent=inner)
+    items = ",\n".join(itertools.chain.from_iterable(
+        _block_lines(block, inner, encode_basestring, text, _json_numbers) for block in blocks))
+    return f"{{\n{items}\n{indent}}}" if items else "{}"
+
+
+def _json_value(value, indent: str) -> str:
+    """JSON text of one report value, laid out as json.dumps(indent=2).
+
+    Floats (numpy floats included) are rounded to 12 significant digits,
+    numpy integers become ints and Multivectors their render() string."""
+    if isinstance(value, (float, np.floating)):
+        return _json_number(float(value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, Multivector):
+        return encode_basestring(value.render())
+    if value is None:
+        return "null"
+    if isinstance(value, (dict, Section)):
+        return _json_object(value.blocks if isinstance(value, Section) else [value], indent)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = ",\n".join([inner + _json_value(v, inner) for v in value])
+        return f"[\n{items}\n{indent}]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

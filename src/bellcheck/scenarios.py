@@ -11,24 +11,25 @@ as reproducing the documented behaviour, from the report's own content, so
 a report read back from JSON gates the same way.
 
 Report keys of the form "<group>:<field>" describe one grid point or one
-searched configuration; plain keys are scenario-level values.  Grid runners
-compute each column on arrays and file the entries point by point, in the
-same key order a per-point loop would.
+searched configuration; plain keys are scenario-level values.  Report
+sections are bellcheck.report Sections, given as a dict or as a list of
+blocks; grid runners file whole columns as Grids, and the gate reads the
+verdict blocks column by column.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import quantum
-from .clifford import GRADES, ONE, Multivector, Vec3, unit_vectors
+from .clifford import GRADES, ONE, Vec3, unit_vectors
 from .models import (
     FLIPPED,
     NATURAL,
@@ -43,6 +44,7 @@ from .models import (
     pair_product,
     random_unit_vectors,
 )
+from .report import Grid, Section, _fmt_all, _grid_keys, _items, _json_value, _split
 
 EXACT_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
@@ -65,20 +67,26 @@ BELL_UPDATE_NOTE = (
 INFO = None
 
 
-def _parallel_pairs(parameters: dict, groups: list[str]) -> list[bool]:
+def _parallel_pairs(parameters: Section, groups: list[str]) -> np.ndarray:
     """Whether a and b of each "pair[i]" group are parallel or antiparallel,
     i.e. every commutator coefficient 2(a x b)_k is within EXACT_TOL of zero.
-    Reads the 12-digit text parameters["pair[i]"] in one bulk parse; that
+    Reads the 12-digit pair texts parameters["pair[i]"] in one bulk parse,
+    straight from a grid column over the same groups if there is one; that
     rounding is the one approximation in the gate designations."""
-    text = " ".join([parameters[g] for g in groups]).translate(str.maketrans("", "", "ab=();"))
+    texts = next((block.columns[None] for block in parameters.blocks if isinstance(block, Grid)
+                  and None in block.columns and block.labels == groups), None)
+    if texts is None:
+        texts = [parameters[g] for g in groups]
+    text = " ".join(texts).translate(str.maketrans("", "", "ab=();"))
     a, b = np.array(text.split(), dtype=float).reshape(-1, 2, 3).transpose(1, 0, 2)
-    return np.all(np.abs(2.0 * np.cross(a, b)) <= EXACT_TOL, axis=1).tolist()
+    return np.all(np.abs(2.0 * np.cross(a, b)) <= EXACT_TOL, axis=1)
 
 
 # (scenario_name, parameters.get("model")) -> verdict -> the value it must take
 # for exit code 0, or INFO.  A grouped verdict "<group>:<field>" is listed by
 # its field, a plain one by its name; unlisted verdicts must be true.  A
-# callable maps (parameters, groups carrying the field) to their values.
+# callable maps (parameters, groups carrying the field) to one value per
+# group, each read from its own group.
 GATES = {
     ("sequential", "clifford"): {"P_zz_matches_qm": INFO, "P_zx_matches_qm": INFO},
     ("sequential", "bell-static"): {"P_zxz_matches_qm": False, "P_zxz_mc_matches_qm": False},
@@ -97,57 +105,10 @@ MAX_SAMPLES = 10_000_000
 MIN_MC_SAMPLES = 10_000
 
 
-def _fmt(x: float) -> str:
-    """The 12-significant-digit text of a float, as every report prints it."""
-    return f"{x:.12g}"
-
-
-def _json_number(x: float) -> str:
-    """JSON text of x rounded to 12 significant digits: the shortest repr of
-    the rounded value, with NaN and Infinity for non-finite values.
-
-    Exponent and non-finite forms are tested first, because repr writes
-    1e12 <= |x| < 1e16 in positional notation where _fmt uses an exponent."""
-    t = _fmt(x)
-    if "e" in t or "n" in t:
-        return json.dumps(float(t))
-    return t if "." in t else t + ".0"
-
-
-def _json_value(value, indent: str) -> str:
-    """JSON text of one report value, laid out as json.dumps(indent=2).
-
-    Floats (numpy floats included) are rounded to 12 significant digits,
-    numpy integers become ints and Multivectors their render() string."""
-    if isinstance(value, (float, np.floating)):
-        return _json_number(float(value))
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, Multivector):
-        return encode_basestring(value.render())
-    if value is None:
-        return "null"
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = ",\n".join([f"{inner}{encode_basestring(k)}: {_json_value(v, inner)}"
-                            for k, v in value.items()])
-        return f"{{\n{items}\n{indent}}}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = ",\n".join([inner + _json_value(v, inner) for v in value])
-        return f"[\n{items}\n{indent}]" if items else "[]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _by_point(groups: Iterable[str],
-              columns: dict[str, Iterable]) -> tuple[list[str], Iterator]:
-    """Keys "<group>:<field>" and their values, point by point, with the
-    fields of each point in column order."""
-    keys = [f"{g}:{name}" for g in groups for name in columns]
-    return keys, itertools.chain.from_iterable(zip(*columns.values()))
+def _coeff_norms(coeffs: np.ndarray) -> np.ndarray:
+    """Multivector(row).coeff_norm() of each row of an (N, 8) coefficient
+    array: the squares summed left to right, then the square root."""
+    return np.sqrt(functools.reduce(np.add, (coeffs * coeffs).T))
 
 
 def _dir_xz(theta: float) -> Vec3:
@@ -187,35 +148,71 @@ class McResult:
     samples: int
 
 
-@dataclass
-class ScenarioReport:
-    scenario_name: str
-    parameters: dict
-    exact_results: dict
-    mc_results: dict[str, McResult] = field(default_factory=dict)
-    qm_reference: dict[str, float] = field(default_factory=dict)
-    verdicts: dict[str, bool] = field(default_factory=dict)
-    seed: int = 0
+def _agrees(values, want) -> bool:
+    """Whether each verdict value equals its designation, INFO aside; `want`
+    is one designation for every value or a sequence of one per value."""
+    if isinstance(values, np.ndarray) and not isinstance(want, list):
+        return want is INFO or bool(np.all(values == want))
+    wants = want if isinstance(want, (list, np.ndarray)) else itertools.repeat(want)
+    return all(w is INFO or ok == w for ok, w in zip(values, wants))
 
-    def _designations(self) -> list[bool | None]:
-        """The GATES value of each verdict, in verdict order."""
+
+def _section(entries: dict | list | None) -> Section:
+    """A Section of a dict, or of a list of blocks.  A grid whose labels
+    repeat (grid points equal to 12 digits) is replaced by the dict of its
+    entries: each key at its first position, with its last value."""
+    if not isinstance(entries, list):
+        return Section([{} if entries is None else entries])
+    return Section([dict(_items(block)) if isinstance(block, Grid)
+                    and len(set(block.labels)) < len(block.labels) else block
+                    for block in entries])
+
+
+class ScenarioReport:
+    """One run's report; mc_results maps names to McResult.  parameters,
+    exact_results, qm_reference and verdicts are Sections, each given as a
+    dict or as a list of blocks."""
+
+    def __init__(self, scenario_name: str, parameters: dict | list,
+                 exact_results: dict | list, mc_results: dict[str, McResult] | None = None,
+                 qm_reference: dict | list | None = None, verdicts: dict | list | None = None,
+                 seed: int = 0):
+        self.scenario_name = scenario_name
+        self.parameters = _section(parameters)
+        self.exact_results = _section(exact_results)
+        self.qm_reference = _section(qm_reference)
+        self.verdicts = _section(verdicts)
+        self.mc_results = {} if mc_results is None else mc_results
+        self.seed = seed
+
+    def _designations(self) -> Iterable[tuple[Grid | dict, str, object, object]]:
+        """(block, field, values, designation) of each verdict column, a
+        plain verdict being a dict block's column of one.  A designation is
+        True, False, INFO or a sequence of one of those per value."""
         gates = GATES.get((self.scenario_name, self.parameters.get("model")), {})
-        wants = [gates.get(name.rpartition(":")[2], True) for name in self.verdicts]
-        for rule in filter(callable, gates.values()):
-            groups = [n.rpartition(":")[0] for n, w in zip(self.verdicts, wants) if w is rule]
-            resolved = iter(rule(self.parameters, groups))
-            wants = [next(resolved) if w is rule else w for w in wants]
-        return wants
+        for block in _split(self.verdicts.blocks):
+            grid = isinstance(block, Grid)
+            for field, values in (block.columns.items() if grid
+                                  else ((key, [ok]) for key, ok in block.items())):
+                head, colon, name = field.rpartition(":")
+                want = gates.get(name, True)
+                if callable(want):
+                    want = want(self.parameters,
+                                [g + colon + head for g in block.labels] if grid else [head])
+                yield block, field, values, want
 
     @property
     def expected(self) -> dict[str, bool]:
         """Gated verdict name -> value required for exit code 0, in verdict order."""
-        return {name: want for name, want in zip(self.verdicts, self._designations())
-                if want is not INFO}
+        wants = {}
+        for block, field, _, want in self._designations():
+            want = want.tolist() if isinstance(want, np.ndarray) else want
+            wants.update(zip(_grid_keys(block, field) if isinstance(block, Grid) else [field],
+                             want if isinstance(want, list) else itertools.repeat(want)))
+        return {name: wants[name] for name in self.verdicts if wants[name] is not INFO}
 
     def gate_passed(self) -> bool:
-        return all(want is INFO or ok == want
-                   for ok, want in zip(self.verdicts.values(), self._designations()))
+        return all(_agrees(values, want) for _, _, values, want in self._designations())
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -319,10 +316,9 @@ def run_epr_scan(angle_grid: Sequence[float],
     else:
         cosines = np.array([math.cos(theta) for theta in angle_grid])
         verdict, oks = "wrong_sign", np.abs(scalars - cosines) <= EXACT_TOL
-    bivectors = [Multivector(row) for row in bivector_rows.tolist()]
-    groups = [f"theta={_fmt(theta)}" for theta in angle_grid]
+    groups = [f"theta={t}" for t in _fmt_all(angle_grid)]
 
-    report = ScenarioReport(
+    return ScenarioReport(
         scenario_name="epr-scan",
         parameters={
             "meter_b_mode": meter_b_mode,
@@ -331,16 +327,11 @@ def run_epr_scan(angle_grid: Sequence[float],
             "n_points": len(angle_grid),
             "angles": [float(t) for t in angle_grid],
         },
-        exact_results=dict(zip(*_by_point(groups, {
-            "model_scalar": scalars.tolist(),
-            "model_bivector": bivectors,
-            "bivector_norm": [b.coeff_norm() for b in bivectors],
-        }))),
-        qm_reference=dict(zip(*_by_point(groups, {"qm": qm_values.tolist()}))),
+        exact_results=[Grid(groups, {"model_scalar": scalars, "model_bivector": bivector_rows,
+                                     "bivector_norm": _coeff_norms(bivector_rows)})],
+        qm_reference=[Grid(groups, {"qm": qm_values})],
+        verdicts=[Grid(groups, {verdict: oks}), {"all_points_as_predicted": bool(oks.all())}],
     )
-    report.verdicts.update(zip(*_by_point(groups, {verdict: oks.tolist()})))
-    report.verdicts["all_points_as_predicted"] = bool(oks.all())
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +516,7 @@ def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
 
     grid = closed_grid(0.0, 1.0, grid_step)
     p = np.array(grid)
-    p_zz = 1.0 - p
-    p_zx = 1.0 - p
+    p_zz = p_zx = 1.0 - p
 
     def meets(zz: float, zx: float) -> np.ndarray:
         return ((np.abs(p_zz - zz) <= FEASIBILITY_TOL)
@@ -535,29 +525,27 @@ def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
     oks = meets(1.0, 0.5)
     feasible, relaxed_repeat, relaxed_uniform = (
         p[mask].tolist() for mask in (oks, meets(1.0, 1.0), meets(0.5, 0.5)))
-    groups = [f"p={_fmt(x)}" for x in grid]
+    groups = [f"p={t}" for t in _fmt_all(grid)]
 
-    exact = dict(zip(*_by_point(groups, {"P_zz": p_zz.tolist(), "P_zx": p_zx.tolist()})))
-    report = ScenarioReport(
-        scenario_name="update-rule-search",
-        parameters={"grid_step": grid_step, "n_grid": len(grid),
-                    "targets": "P_zz=1 and P_zx=0.5"},
-        exact_results=exact,
-        qm_reference={"P_zz": 1.0, "P_zx": 0.5},
-    )
-    report.verdicts.update(zip(*_by_point(groups, {"feasible": oks.tolist()})))
-
-    exact["feasible_count"] = len(feasible)
-    exact["relaxed_repeat_count"] = len(relaxed_repeat)
-    exact["relaxed_uniform_count"] = len(relaxed_uniform)
+    exact = {"feasible_count": len(feasible),
+             "relaxed_repeat_count": len(relaxed_repeat),
+             "relaxed_uniform_count": len(relaxed_uniform)}
     if relaxed_repeat:
         exact["relaxed_repeat_first"] = relaxed_repeat[0]
     if relaxed_uniform:
         exact["relaxed_uniform_first"] = relaxed_uniform[0]
-    report.verdicts["feasible_set_empty"] = not feasible
-    report.verdicts["relaxed_repeat_nonempty"] = bool(relaxed_repeat)
-    report.verdicts["relaxed_uniform_nonempty"] = bool(relaxed_uniform)
-    return report
+    return ScenarioReport(
+        scenario_name="update-rule-search",
+        parameters={"grid_step": grid_step, "n_grid": len(grid),
+                    "targets": "P_zz=1 and P_zx=0.5"},
+        exact_results=[Grid(groups, {"P_zz": p_zz, "P_zx": p_zx}), exact],
+        qm_reference={"P_zz": 1.0, "P_zx": 0.5},
+        verdicts=[Grid(groups, {"feasible": oks}), {
+            "feasible_set_empty": not feasible,
+            "relaxed_repeat_nonempty": bool(relaxed_repeat),
+            "relaxed_uniform_nonempty": bool(relaxed_uniform),
+        }],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -609,52 +597,20 @@ def run_three_particle_search() -> ScenarioReport:
     alg_by_pair = {pair: _algebraic_pair_expectation(*pair) for pair in meter_pairs}
     out_by_pair = {pair: _outcome_pair_expectation(*pair) for pair in meter_pairs}
 
-    exact: dict = {}
-    report = ScenarioReport(
-        scenario_name="three-particle",
-        parameters={"pattern": "+-+", "direction": "ez",
-                    "search_space": len(_METER_OPTIONS) ** 3},
-        exact_results=exact,
-        qm_reference=qm_ref,
-    )
-    verdicts = report.verdicts
-
-    consistent: list[str] = []
-    # (total error, code, per-pair errors) of each assignment, in search order
-    searched: list[tuple[float, str, dict[str, float]]] = []
-    for meters in itertools.product(_METER_OPTIONS, repeat=3):
-        code = _assignment_code(meters)
-        g = f"assign={code}"
-        errors: dict[str, float] = {}
-        for name, i, j in pair_names:
-            alg = alg_by_pair[meters[i], meters[j]]
-            exact[f"{g}:{name}_alg"] = alg
-            exact[f"{g}:{name}_out"] = out_by_pair[meters[i], meters[j]]
-            errors[name] = abs(alg - qm_ref[name])
-        ok = all(err <= EXACT_TOL for err in errors.values())
-        total_err = sum(errors.values())
-        exact[f"{g}:err_total"] = total_err
-
-        at_plus = tuple(meter_outcome(m, E_Z, HiddenState(1)) for m in meters)
-        at_minus = tuple(meter_outcome(m, E_Z, HiddenState(-1)) for m in meters)
-        verdicts[f"{g}:pattern_at_mu_plus"] = at_plus == pattern
-        verdicts[f"{g}:pattern_at_mu_minus"] = at_minus == pattern
-        verdicts[f"{g}:marginals_deterministic"] = at_plus == pattern and at_minus == pattern
-        verdicts[f"{g}:consistent"] = ok
-        if ok:
-            consistent.append(code)
-        searched.append((total_err, code, errors))
-
-    control_consistent = 0
-    for meters in meter_pairs:
-        code = _assignment_code(meters)
-        g = f"ctrl={code}"
-        alg = alg_by_pair[meters]
-        exact[f"{g}:E_AB_alg"] = alg
-        ok = abs(alg - qm_ref["control_E_AB"]) <= EXACT_TOL
-        verdicts[f"{g}:consistent"] = ok
-        if ok:
-            control_consistent += 1
+    searched = list(itertools.product(_METER_OPTIONS, repeat=3))
+    codes = [_assignment_code(meters) for meters in searched]
+    exact: dict[str, list] = {}
+    errors: dict[str, list[float]] = {}
+    for name, i, j in pair_names:
+        exact[f"{name}_alg"] = alg = [alg_by_pair[m[i], m[j]] for m in searched]
+        exact[f"{name}_out"] = [out_by_pair[m[i], m[j]] for m in searched]
+        errors[name] = [abs(a - qm_ref[name]) for a in alg]
+    exact["err_total"] = totals = [sum(errs) for errs in zip(*errors.values())]
+    consistent = [all(err <= EXACT_TOL for err in errs) for errs in zip(*errors.values())]
+    at_plus, at_minus = ([tuple(meter_outcome(m, E_Z, HiddenState(mu)) for m in meters) == pattern
+                          for meters in searched] for mu in (1, -1))
+    control = [alg_by_pair[meters] for meters in meter_pairs]
+    control_ok = [abs(alg - qm_ref["control_E_AB"]) <= EXACT_TOL for alg in control]
 
     # The repaired convention: A natural, B same sign but flipped legs,
     # C with the opposite definition sign and flipped legs.
@@ -663,24 +619,39 @@ def run_three_particle_search() -> ScenarioReport:
     forced_c = MeterModel(-1, FLIPPED)
     forced_ac = alg_by_pair[forced_a, forced_c]
     forced_bc = alg_by_pair[forced_b, forced_c]
-    exact["forced_E_AC_alg"] = forced_ac
-    exact["forced_E_BC_alg"] = forced_bc
-    verdicts["forced_ac_matches_qm"] = abs(forced_ac - qm_ref["E_AC"]) <= EXACT_TOL
-    verdicts["forced_bc_matches_qm"] = abs(forced_bc - qm_ref["E_BC"]) <= EXACT_TOL
+    best_total, best_code = min(zip(totals, codes))  # codes are unique
+    best = codes.index(best_code)
 
-    exact["configurations_visited"] = len(searched)
-    exact["consistent_assignments"] = len(consistent)
-    exact["control_consistent_count"] = control_consistent
-    best = min(searched)  # codes are unique, so the error dicts are never compared
-    exact["best_assignment"] = best[1]
-    for name, _, _ in pair_names:
-        exact[f"best_err_{name[2:]}"] = best[2][name]
-    exact["best_err_total"] = best[0]
-
-    verdicts["consistent_set_empty"] = not consistent
-    verdicts["control_consistent_nonempty"] = control_consistent > 0
-    verdicts["search_visited_declared_count"] = len(searched) == 64
-    return report
+    assign = [f"assign={code}" for code in codes]
+    ctrl = [f"ctrl={_assignment_code(meters)}" for meters in meter_pairs]
+    return ScenarioReport(
+        scenario_name="three-particle",
+        parameters={"pattern": "+-+", "direction": "ez",
+                    "search_space": len(_METER_OPTIONS) ** 3},
+        exact_results=[Grid(assign, exact), Grid(ctrl, {"E_AB_alg": control}), {
+            "forced_E_AC_alg": forced_ac,
+            "forced_E_BC_alg": forced_bc,
+            "configurations_visited": len(searched),
+            "consistent_assignments": sum(consistent),
+            "control_consistent_count": sum(control_ok),
+            "best_assignment": best_code,
+            **{f"best_err_{name[2:]}": errors[name][best] for name, _, _ in pair_names},
+            "best_err_total": best_total,
+        }],
+        qm_reference=qm_ref,
+        verdicts=[Grid(assign, {
+            "pattern_at_mu_plus": at_plus,
+            "pattern_at_mu_minus": at_minus,
+            "marginals_deterministic": [p and m for p, m in zip(at_plus, at_minus)],
+            "consistent": consistent,
+        }), Grid(ctrl, {"consistent": control_ok}), {
+            "forced_ac_matches_qm": abs(forced_ac - qm_ref["E_AC"]) <= EXACT_TOL,
+            "forced_bc_matches_qm": abs(forced_bc - qm_ref["E_BC"]) <= EXACT_TOL,
+            "consistent_set_empty": not any(consistent),
+            "control_consistent_nonempty": any(control_ok),
+            "search_visited_declared_count": len(searched) == 64,
+        }],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -702,11 +673,6 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
     if not pairs:
         raise ValueError("need at least one direction pair")
 
-    parameters: dict = {
-        "meter_a_def_sign": meter_a.def_sign,
-        "meter_b_def_sign": meter_b.def_sign,
-        "n_pairs": len(pairs),
-    }
     a_dirs = unit_vectors([a for a, _ in pairs])
     b_dirs = unit_vectors([b for _, b in pairs])
     audit = batch_constraint_check(meter_a, meter_b, a_dirs, b_dirs)
@@ -716,33 +682,24 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
     normalized_ok = np.all(np.abs(audit.square_avg - ONE.coeffs) <= EXACT_TOL, axis=1)
 
     groups = [f"pair[{i}]" for i in range(len(pairs))]
-    parameters.update(zip(groups, (
-        f"a=({_fmt(a[0])}; {_fmt(a[1])}; {_fmt(a[2])}) "
-        f"b=({_fmt(b[0])}; {_fmt(b[1])}; {_fmt(b[2])})"
-        for a, b in zip(a_dirs.tolist(), b_dirs.tolist()))))
-    commutators = [Multivector(row) for row in audit.commutator_avg.tolist()]
-    squares = [Multivector(row) for row in audit.square_avg.tolist()]
-
-    exact = dict(zip(*_by_point(groups, {
-        "commutator": commutators,
-        "commutator_norm": [c.coeff_norm() for c in commutators],
-        "square": squares,
-        "square_scalar": audit.square_avg[:, 0].tolist(),
-    })))
-    report = ScenarioReport(
-        scenario_name="constraint-check",
-        parameters=parameters,
-        exact_results=exact,
-        qm_reference={"commutator_target": 0.0, "square_target": 1.0},
-    )
-    report.verdicts.update(zip(*_by_point(groups, {"commutator_zero": commutes.tolist(),
-                                                   "normalization_holds": normalized_ok.tolist()})))
-
+    # "%.12g" % x is the _fmt text of x
+    pair_texts = ["a=(%.12g; %.12g; %.12g) b=(%.12g; %.12g; %.12g)" % tuple(row)
+                  for row in np.hstack([a_dirs, b_dirs]).tolist()]
     normalization_violations = int(np.count_nonzero(~normalized_ok))
-    exact["commutator_violations"] = int(np.count_nonzero(~commutes))
-    exact["normalization_violations"] = normalization_violations
-    report.verdicts["normalization_violated_for_all"] = normalization_violations == len(pairs)
-    return report
+    return ScenarioReport(
+        scenario_name="constraint-check",
+        parameters=[{"meter_a_def_sign": meter_a.def_sign, "meter_b_def_sign": meter_b.def_sign,
+                     "n_pairs": len(pairs)}, Grid(groups, {None: pair_texts})],
+        exact_results=[Grid(groups, {"commutator": audit.commutator_avg,
+                                     "commutator_norm": _coeff_norms(audit.commutator_avg),
+                                     "square": audit.square_avg,
+                                     "square_scalar": audit.square_avg[:, 0]}),
+                       {"commutator_violations": int(np.count_nonzero(~commutes)),
+                        "normalization_violations": normalization_violations}],
+        qm_reference={"commutator_target": 0.0, "square_target": 1.0},
+        verdicts=[Grid(groups, {"commutator_zero": commutes, "normalization_holds": normalized_ok}),
+                  {"normalization_violated_for_all": normalization_violations == len(pairs)}],
+    )
 
 
 # ---------------------------------------------------------------------------

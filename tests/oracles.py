@@ -8,7 +8,10 @@ matrices only, never from the package's integer product table.
 
 `ref_report_json` is the reference for the report's JSON writer: each value
 converted to plain JSON types, with reals rounded to 12 significant digits,
-then laid out by the standard library's json.dumps.
+then laid out by the standard library's json.dumps.  `ref_emit_csv`,
+`ref_emit_table` and `ref_gate_passed` are the references for the CSV and
+table writers and the gate: they read the report's section dicts key by
+key, where the program reads its blocks column by column.
 """
 
 import json
@@ -16,6 +19,8 @@ import json
 import numpy as np
 
 from bellcheck.clifford import Multivector
+from bellcheck.report import Section
+from bellcheck.scenarios import GATES, INFO
 
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -135,3 +140,115 @@ def ref_report_json(report):
         "seed": int(report.seed),
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _text(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, Multivector):
+        return value.render()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def ref_designations(report):
+    """The GATES value of each verdict, in verdict order."""
+    gates = GATES.get((report.scenario_name, report.parameters.get("model")), {})
+    wants = [gates.get(name.rpartition(":")[2], True) for name in report.verdicts]
+    for rule in filter(callable, gates.values()):
+        groups = [n.rpartition(":")[0] for n, w in zip(report.verdicts, wants) if w is rule]
+        resolved = iter(rule(Section([dict(report.parameters)]), groups))
+        wants = [next(resolved) if w is rule else w for w in wants]
+    return wants
+
+
+def ref_gate_passed(report) -> bool:
+    return all(want is INFO or ok == want
+               for ok, want in zip(report.verdicts.values(), ref_designations(report)))
+
+
+def ref_split_groups(report):
+    """Partition report entries into a table of per-group rows and a list
+    of scenario-level (name, text) pairs.
+
+    Keys "<group>:<field>" feed one row per group.  The table's header row
+    is "point", the fields in order of first appearance, and "verdict" (the
+    group's verdicts that hold); the table is empty when no key is grouped.
+    """
+    groups: dict[str, dict[str, str]] = {}
+    fields: dict[str, None] = {}
+    plain: list[tuple[str, str]] = []
+    group_verdicts: dict[str, list[str]] = {}
+
+    def add(entries):
+        for key, text in entries:
+            group, grouped, field_name = key.partition(":")
+            if grouped:
+                row = groups.get(group)
+                if row is None:
+                    row = groups[group] = {}
+                row[field_name] = text
+                fields[field_name] = None
+            else:
+                plain.append((key, text))
+
+    add((key, _text(value)) for key, value in report.exact_results.items())
+    for key, m in report.mc_results.items():
+        sep = ":" if ":" in key else "."
+        add(((f"{key}{sep}estimate", _text(m.estimate)),
+             (f"{key}{sep}standard_error", _text(m.standard_error)),
+             (f"{key}{sep}samples", str(m.samples))))
+    # keep grouped fields as-is; label scenario-level ones as references
+    add((key if ":" in key else f"qm.{key}", _text(value))
+        for key, value in report.qm_reference.items())
+    for key, value in report.verdicts.items():
+        group, grouped, name = key.partition(":")
+        if not grouped:
+            plain.append((key, _text(value)))
+        elif value:
+            group_verdicts.setdefault(group, []).append(name)
+    if not groups:
+        return [], plain
+    rows = [["point", *fields, "verdict"]]
+    rows += ([group, *[row.get(f, "") for f in fields], ";".join(group_verdicts.get(group, ()))]
+             for group, row in groups.items())
+    return rows, plain
+
+
+def ref_emit_csv(report) -> str:
+    rows, plain = ref_split_groups(report)
+    lines = [",".join(row) for row in rows]
+    if rows and plain:
+        lines.append("")
+    if plain or not rows:
+        lines.append("name,value")
+        lines.extend(f"{name},{value}" for name, value in plain)
+    return "\n".join(lines) + "\n"
+
+
+def ref_emit_table(report) -> str:
+    rows, plain = ref_split_groups(report)
+    lines = [f"scenario: {report.scenario_name}", f"seed: {report.seed}", "parameters:"]
+    for key, value in report.parameters.items():
+        if isinstance(value, (list, tuple)):
+            value = " ".join(_text(v) for v in value)
+        lines.append(f"  {key}: {_text(value)}")
+
+    if rows:
+        pad = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows)).format
+        lines.append("")
+        lines.extend(pad(*row).rstrip() for row in rows)
+
+    if plain:
+        lines.append("")
+        lines.append("results:")
+        for name, value in plain:
+            lines.append(f"  {name}: {value}")
+
+    lines.append("")
+    lines.append(f"gate: {'PASS' if ref_gate_passed(report) else 'FAIL'}")
+    if "consistent_assignments" in report.exact_results:
+        count = int(report.exact_results["consistent_assignments"])
+        lines.append(f"consistent assignments: {count}")
+    return "\n".join(lines) + "\n"

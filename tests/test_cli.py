@@ -64,6 +64,19 @@ def test_non_finite_angles_exit_2(slot, value):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("angles", [
+    ["--angles", "-0.1:0.1:0.1"], ["--angles=-0.1:0.1:0.1"], ["--ang", "-0.1:0.1:0.1"]])
+def test_negative_angle_start(angles, capsys):
+    assert cli.main(["run", "constraint-check", *angles, "--format", "csv"]) == 0
+    pairs = [(scenarios.E_Z, scenarios._dir_xz(t)) for t in closed_grid(-0.1, 0.1, 0.1)]
+    assert capsys.readouterr().out == cli.emit_csv(scenarios.run_constraint_check(pairs))
+
+
+def test_bare_trailing_angles_exits_2(capsys):
+    assert exit_code(["constraint-check", "--angles"]) == 2
+    assert "--angles: expected one argument" in capsys.readouterr().err
+
+
 def test_oversized_grids_exit_2(capsys):
     assert cli.main(["run", "epr-scan", "--angles", "0:1e12:1e-9"]) == 2
     assert cli.main(["run", "constraint-check", "--angles", "0:1e12:1e-9"]) == 2

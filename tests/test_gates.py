@@ -56,7 +56,8 @@ def test_json_round_trip_keeps_every_format(name):
     back = _read_back(report)
     assert back.to_json() == report.to_json()
     assert cli.emit_csv(back) == cli.emit_csv(report)
-    assert cli.emit_table(back) == cli.emit_table(report)
+    assert (cli.emit_table(back, back.gate_passed())
+            == cli.emit_table(report, report.gate_passed()))
 
 
 @pytest.mark.parametrize("angles", [

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from bellcheck import scenarios
+from bellcheck import cli, scenarios
+from bellcheck.report import Grid, _grid_keys, _items, _json_number
 from bellcheck.clifford import Multivector
 from bellcheck.models import MeterModel, UpdateRule
 from bellcheck.scenarios import (
@@ -114,6 +115,18 @@ def test_epr_scan_records_residual_bivector():
     assert abs(residual - abs(math.sin(half_pi))) <= 1e-12
     scalar = report.exact_results[theta_key(half_pi, "model_scalar")]
     assert abs(scalar) <= 1e-12
+
+
+def test_epr_scan_points_equal_to_12_digits_share_one_key():
+    # 1 and 1 + 1e-13 both print as theta=1.  As in a dict, the key keeps
+    # its first position and takes the last point's value.
+    report = run_epr_scan([1.0, 1.0 + 1e-13], "original")
+    fields = ("model_scalar", "model_bivector", "bivector_norm")
+    assert list(report.exact_results) == [theta_key(1.0, f) for f in fields]
+    last = run_epr_scan([1.0 + 1e-13], "original")
+    assert report.exact_results == last.exact_results
+    assert report.to_json().count('"theta=1:model_scalar"') == 1
+    assert cli.emit_csv(report) == cli.emit_csv(last)
 
 
 def test_epr_scan_rejects_empty_grid_and_bad_mode():
@@ -380,7 +393,7 @@ def test_report_json_roundtrip():
 @example(9.99999999999999e-5)
 @example(1e-5)
 def test_json_number_is_the_repr_of_the_rounded_value(x):
-    assert scenarios._json_number(x) == json.dumps(float(f"{x:.12g}"))
+    assert _json_number(x) == json.dumps(float(f"{x:.12g}"))
 
 
 _FLOATS = st.floats(width=64)
@@ -402,28 +415,128 @@ _KEYS = st.text(max_size=12)
 _NUMBERS = st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(-10 ** 6, 10 ** 6))
 
 
+# Group labels and fields shared by every section, so that grids of
+# different sections and grouped dict keys land on the same rows.
+_LABELS = st.sampled_from(["p=0", "p=1e-05", "theta=3.14", "assign=+-+/NFN", "ctrl=+-/NF",
+                           "pair[0]", "", "x.y"])
+_FIELDS = st.sampled_from(["a", "b", "feasible", "consistent", "marginals_deterministic",
+                           "pattern_at_mu_plus", "P_zz_matches_qm", "m:estimate", ""])
+_GROUPED_KEYS = st.builds(lambda label, field: f"{label}:{field}", _LABELS, _FIELDS)
+# (scenario_name, parameters.model) pairs with gate designations, and others.
+_SCENARIOS = st.one_of(st.sampled_from(sorted(scenarios.GATES, key=str)),
+                       st.tuples(st.text(max_size=8), st.none()))
+
+
+def _column(draw, n, verdicts):
+    """One grid column of n values, as a list or any numpy column kind."""
+    if verdicts:
+        values = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return draw(st.sampled_from([values, np.array(values, dtype=bool)]))
+    kind = draw(st.sampled_from(["list", "float", "int", "bool", "coeffs"]))
+    if kind == "list":
+        return draw(st.lists(_SCALARS, min_size=n, max_size=n))
+    if kind == "coeffs":
+        return np.array(draw(st.lists(st.lists(_FLOATS, min_size=8, max_size=8),
+                                      min_size=n, max_size=n))).reshape(n, 8)
+    element = {"float": _FLOATS, "int": st.integers(-2 ** 63, 2 ** 63 - 1),
+               "bool": st.booleans()}[kind]
+    return np.array(draw(st.lists(element, min_size=n, max_size=n)),
+                    dtype={"float": float, "int": np.int64, "bool": bool}[kind])
+
+
+@st.composite
+def _grids(draw, verdicts=False, fields=_FIELDS):
+    """A Grid over 1-3 labels, repeats allowed, of 1-3 distinct fields."""
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=3))
+    names = draw(st.lists(fields, min_size=1, max_size=3, unique=True))
+    return Grid(labels, {f: _column(draw, len(labels), verdicts) for f in names})
+
+
+def _distinct(blocks):
+    """The blocks less each dict entry, and each grid, holding a key that an
+    earlier block holds: no key is in two blocks of a section."""
+    seen, kept = set(), []
+    for block in blocks:
+        if isinstance(block, dict):
+            block = {k: v for k, v in block.items() if k not in seen}
+            keys = set(block)
+        else:
+            keys = {k for f in block.columns for k in _grid_keys(block, f)}
+            if keys & seen:
+                continue
+        seen |= keys
+        kept.append(block)
+    return kept
+
+
+def _section(values, verdicts=False, fields=_FIELDS):
+    """A section as a dict of plain and grouped keys, or a list of blocks."""
+    entries = st.dictionaries(st.one_of(_KEYS, _GROUPED_KEYS), values, max_size=4)
+    blocks = st.lists(st.one_of(entries, _grids(verdicts, fields)), max_size=3).map(_distinct)
+    return st.one_of(entries, blocks)
+
+
 @st.composite
 def _reports(draw):
-    report = ScenarioReport(
-        scenario_name=draw(st.text()),
-        parameters=draw(st.dictionaries(_KEYS, _VALUES, max_size=4)),
-        exact_results=draw(st.dictionaries(_KEYS, _VALUES, max_size=6)),
-        mc_results=draw(st.dictionaries(_KEYS, st.builds(
+    name, model = draw(_SCENARIOS)
+    parameters = draw(_section(_VALUES, fields=st.one_of(_FIELDS, st.none())))
+    if model is not None:
+        model_block = {"model": model}
+        parameters = _distinct([model_block, *parameters]) if isinstance(parameters, list) else {
+            **parameters, **model_block}
+    return ScenarioReport(
+        scenario_name=name,
+        parameters=parameters,
+        exact_results=draw(_section(_VALUES)),
+        mc_results=draw(st.dictionaries(st.one_of(_KEYS, _GROUPED_KEYS), st.builds(
             McResult, _NUMBERS, _NUMBERS,
             st.one_of(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9).map(np.int64))),
             max_size=3)),
-        qm_reference=draw(st.dictionaries(_KEYS, _VALUES, max_size=3)),
+        qm_reference=draw(_section(_VALUES)),
+        verdicts=draw(_section(st.booleans(), verdicts=True)),
         seed=draw(st.integers(0, 2 ** 64 - 1)),
     )
-    for name, ok in draw(st.dictionaries(_KEYS, st.booleans(), max_size=4)).items():
-        report.verdicts[name] = ok
-    return report
+
+
+@st.composite
+def _constraint_check_reports(draw):
+    """constraint-check shaped reports, whose commutator_zero designation
+    reads the pair text of each group from the parameters."""
+    n = draw(st.integers(1, 4))
+    labels = [f"pair[{i}]" for i in range(n)]
+    vectors = st.sampled_from([0.0, 1.0, -1.0, 0.6, 2e-13, -4e-13])
+    texts = ["a=(%.12g; %.12g; %.12g) b=(%.12g; %.12g; %.12g)" % tuple(draw(st.lists(
+        vectors, min_size=6, max_size=6))) for _ in labels]
+    pairs = Grid(labels, {None: texts})
+    verdicts = Grid(labels, {f: _column(draw, n, True)
+                                       for f in ("commutator_zero", "normalization_holds")})
+    as_dicts = draw(st.booleans())
+    return ScenarioReport(
+        "constraint-check",
+        dict(zip(labels, texts)) if as_dicts else [{"n_pairs": n}, pairs],
+        {"commutator_violations": 0},
+        verdicts=(dict(_items(verdicts)) if as_dicts
+                  else [verdicts, {"normalization_violated_for_all": draw(st.booleans())}]),
+    )
 
 
 @settings(max_examples=150)
 @given(_reports())
 def test_to_json_matches_the_json_dumps_reference(report):
     assert report.to_json() == oracles.ref_report_json(report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_reports(), _constraint_check_reports()))
+def test_block_writers_match_the_dict_path_reference(report):
+    # The blocks are read first: reading the section dicts builds them.
+    passed = report.gate_passed()
+    got = cli.emit_csv(report), cli.emit_table(report, passed), passed
+    expected = report.expected
+    assert got == (oracles.ref_emit_csv(report), oracles.ref_emit_table(report),
+                   oracles.ref_gate_passed(report))
+    assert expected == {name: want for name, want in zip(
+        report.verdicts, oracles.ref_designations(report)) if want is not scenarios.INFO}
 
 
 def test_gate_fails_when_expected_verdict_differs():
