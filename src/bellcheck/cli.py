@@ -1,4 +1,4 @@
-"""Command-line entry point: scenario selection, seeding, serialization.
+"""Command-line entry point: parsing, scenario selection, exit codes.
 
     bellcheck run <scenario> [FLAGS] [--seed S] [--format table|json|csv] [--out PATH]
 
@@ -28,7 +28,6 @@ comma-separated, UTF-8, LF.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -36,9 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import scenarios
-from .clifford import Multivector
 from .models import UpdateRule
-from .report import _block_lines, _fmt, _fmt_all, _grid_texts, _split, _values
+from .report import emit_csv, emit_table
 from .scenarios import ScenarioReport, closed_grid
 
 FORMATS = ("table", "json", "csv")
@@ -116,12 +114,7 @@ def _parse_angles(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ValueError("expected START:STOP:STEP")
     start, stop, step = (float(p) for p in parts)
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValueError("START, STOP and STEP must be finite")
-    if step <= 0.0:
-        raise ValueError("STEP must be positive")
-    if stop < start:
-        raise ValueError("STOP must not precede START")
+    scenarios.grid_points(start, stop, step)
     return (start, stop, step)
 
 
@@ -216,112 +209,6 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 def run_scenario(config: RunConfig) -> ScenarioReport:
     return REGISTRY[config.scenario, config.mode].run(config)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _text(value) -> str:
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, Multivector):
-        return value.render()
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _param_text(value) -> str:
-    return " ".join(map(_text, value)) if isinstance(value, (list, tuple)) else _text(value)
-
-
-def _split_groups(report: ScenarioReport):
-    """Report entries as a table of per-group rows, column by column, and
-    a list of scenario-level (name, text) pairs.
-
-    Keys "<group>:<field>", which report._split puts in Grids, feed one
-    row per group.  Each column starts with its header: "point", the fields
-    in order of first appearance, and "verdict" (the group's verdicts that
-    hold); the table is empty when no key is grouped.
-    """
-    rows: dict[str, int] = {}
-    cells: dict[str, dict[int, str]] = {}  # field -> row -> text
-    plain: list[tuple[str, str]] = []
-
-    def file(blocks: list, prefix: str = "") -> None:
-        for block in _split(blocks):
-            if isinstance(block, dict):
-                plain.extend((prefix + key, _text(value)) for key, value in block.items())
-                continue
-            at = [rows.setdefault(g, len(rows)) for g in block.labels]
-            for name, texts in _grid_texts(block, _text, _fmt_all).items():
-                cells.setdefault(name, {}).update(zip(at, texts))
-
-    file(report.exact_results.blocks)
-    for key, m in report.mc_results.items():
-        sep = ":" if ":" in key else "."
-        file([{f"{key}{sep}estimate": m.estimate, f"{key}{sep}standard_error": m.standard_error,
-               f"{key}{sep}samples": str(m.samples)}])
-    # keep grouped fields as-is; label scenario-level ones as references
-    file(report.qm_reference.blocks, "qm.")
-    holding: dict[int, list[str]] = {}
-    for block in _split(report.verdicts.blocks):
-        if isinstance(block, dict):
-            plain.extend((key, _text(value)) for key, value in block.items())
-            continue
-        at = [rows.get(g) for g in block.labels]
-        for name, column in block.columns.items():
-            for row, holds in zip(at, map(bool, _values(column))):
-                if holds and row is not None:
-                    holding.setdefault(row, []).append(name)
-
-    if not rows:
-        return [], plain
-    every = range(len(rows))
-    return [["point", *rows], *([name, *map(cell.get, every, itertools.repeat(""))]
-                                for name, cell in cells.items()),
-            ["verdict", *map(";".join, map(holding.get, every, itertools.repeat(())))]], plain
-
-
-def emit_csv(report: ScenarioReport) -> str:
-    table, plain = _split_groups(report)
-    lines = list(map(",".join, zip(*table)))
-    if table and plain:
-        lines.append("")
-    if plain or not table:
-        lines.append("name,value")
-        lines.extend(f"{name},{value}" for name, value in plain)
-    return "\n".join(lines) + "\n"
-
-
-def emit_table(report: ScenarioReport, passed: bool) -> str:
-    """The report as aligned text; `passed` is report.gate_passed()."""
-    table, plain = _split_groups(report)
-    lines = [f"scenario: {report.scenario_name}", f"seed: {report.seed}", "parameters:"]
-    for block in report.parameters.blocks:
-        lines.extend(_block_lines(block, "  ", str, _param_text, _fmt_all))
-
-    if table:
-        for column in table[:-1]:  # the last column's padding would be stripped
-            width = max(map(len, column))
-            column[:] = [text.ljust(width) for text in column]
-        lines.append("")
-        lines.extend("  ".join(row).rstrip() for row in zip(*table))
-
-    if plain:
-        lines.append("")
-        lines.append("results:")
-        for name, value in plain:
-            lines.append(f"  {name}: {value}")
-
-    lines.append("")
-    lines.append(f"gate: {'PASS' if passed else 'FAIL'}")
-    if "consistent_assignments" in report.exact_results:
-        count = int(report.exact_results["consistent_assignments"])
-        lines.append(f"consistent assignments: {count}")
-    return "\n".join(lines) + "\n"
 
 
 def emit_report(report: ScenarioReport, config: RunConfig, passed: bool) -> str:

@@ -155,9 +155,6 @@ class Multivector:
     def scalar_part(self) -> float:
         return self.coeffs[0]
 
-    def vector_part(self) -> Vec3:
-        return (self.coeffs[1], self.coeffs[2], self.coeffs[3])
-
     def max_abs_coeff(self) -> float:
         return max(abs(c) for c in self.coeffs)
 
@@ -214,10 +211,6 @@ def _product(x: Multivector, y: Multivector, product: str) -> Multivector:
 
 def geometric_product(x: Multivector, y: Multivector) -> Multivector:
     return _product(x, y, "geometric")
-
-
-def grade_project(x: Multivector, k: int) -> Multivector:
-    return x.grade(k)
 
 
 def dot(x: Multivector, y: Multivector) -> Multivector:
@@ -286,21 +279,6 @@ def unit_vectors(components) -> np.ndarray:
         row = tuple(v[bad[0]].tolist())
         raise ValueError(f"vector {row!r} has norm {float(norms[bad[0]])!r}, expected 1")
     return v
-
-
-def normalized(components: Sequence[float]) -> Vec3:
-    x, y, z = (float(c) for c in components)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return (x / norm, y / norm, z / norm)
-
-
-def cross_product(a: Sequence[float], b: Sequence[float]) -> Vec3:
-    """Right-handed cross product; equals the grade-1 part of dual(a ^ b)."""
-    ax, ay, az = (float(c) for c in a)
-    bx, by, bz = (float(c) for c in b)
-    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
 # -- quaternion even subalgebra ---------------------------------------------

@@ -13,7 +13,8 @@ Two families live here:
 * Bell's scalar toy model (Eq. (9) of Bell, Physics 1, 195 (1964)): the
   hidden state is a unit vector lambda and the outcome is sign(a . lambda),
   optionally combined with a post-measurement redraw of lambda from the
-  hemisphere centred on the measured direction.
+  hemisphere centred on the measured direction.  Its samplers live here;
+  bellcheck.scenarios reads the signs off whole batches of lambdas.
 
 All functions are pure; the randomized ones take an explicit numpy
 Generator so runs stay reproducible.
@@ -21,7 +22,6 @@ Generator so runs stay reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, TypeVar
 
@@ -176,15 +176,6 @@ def batch_constraint_check(meter_a: MeterModel, meter_b: MeterModel,
 # -- Bell's scalar toy model -------------------------------------------------
 
 
-def bell_observable(a: Vec3, lam: Vec3) -> int:
-    """sign(a . lambda); the measure-zero tie a . lambda = 0 resolves to +1
-    so that runs are reproducible."""
-    a = unit_vector(a)
-    lam = unit_vector(lam)
-    value = a[0] * lam[0] + a[1] * lam[1] + a[2] * lam[2]
-    return 1 if value >= 0.0 else -1
-
-
 def random_unit_vectors(rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, 3) array of directions uniform on the sphere."""
     draws = rng.normal(size=(size, 3))
@@ -207,13 +198,6 @@ def hemisphere_samples(n: Vec3, outcome: int, rng: np.random.Generator,
     wrong_side = (lams @ axis) * outcome < 0.0
     lams[wrong_side] = -lams[wrong_side]
     return lams
-
-
-def hemisphere_update(n: Vec3, outcome: int, rng: np.random.Generator) -> Vec3:
-    """Redraw lambda uniformly from the hemisphere with pole outcome * n.
-    The marginal of n . lambda then has mean outcome * 1/2."""
-    lam = hemisphere_samples(n, outcome, rng, 1)[0]
-    return (float(lam[0]), float(lam[1]), float(lam[2]))
 
 
 # -- post-measurement update rules -------------------------------------------

@@ -1,11 +1,13 @@
-"""The report store and its text writers.
+"""The report store and its three text writers: JSON, CSV and table.
 
-A report section is a Section: an ordered list of blocks, each a dict or a
-Grid of group labels and named columns, read and written as one dict whose
-keys run in block order.  Grid runners fill whole columns from arrays; the
-JSON writer here and the CLI's CSV and table writers format each column
-once and zip the lines point by point, without building a dict of a
-section or a Multivector per row.
+A report section is a Section: an ordered list of blocks, each a dict of
+plain keys or a Grid of group labels and named columns, read as one dict
+whose keys run in block order.  A section is regrouped once, when it is
+built and when a new key is written, so that every "<group>:<field>" key
+is in a Grid.  Grid runners fill whole columns from arrays, and the
+writers read the blocks as they are: each column is formatted once and
+the lines are zipped point by point, without building a dict of a section
+or a Multivector per row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator
@@ -55,10 +57,10 @@ def _json_numbers(values: list[float]) -> list[str]:
 class Grid:
     """A block of report entries: one row per group label, one column per
     field.  Its keys are "<label>:<field>", point by point with the fields
-    in column order; the field None keys an entry by its label alone.
-    Labels hold no ":".  A column is a list of values, a 1-D numpy array
-    holding the values its tolist() gives, or an (N, 8) coefficient array
-    holding Multivectors."""
+    in column order; the field None keys an entry by its label alone, and
+    a Section files such entries in a dict.  Labels hold no ":".  A column
+    is a list of values, a 1-D numpy array holding the values its tolist()
+    gives, or an (N, 8) coefficient array holding Multivectors."""
 
     labels: list[str]
     columns: dict
@@ -93,24 +95,51 @@ def _items(block) -> Iterable[tuple[str, object]]:
     return zip(_keys(block), itertools.chain.from_iterable(values))
 
 
-class Section(MutableMapping):
+class Section(Mapping):
     """A report section: a list of blocks (dicts and Grids) that hold
-    distinct keys, read and written as one dict whose keys run in block
-    order.  A write goes to the block holding the key, and a new key to a
-    dict block at the end; nothing builds a dict of the whole section."""
+    distinct keys, read as one dict whose keys run in block order.
 
-    def __init__(self, blocks: list):
-        self.blocks = blocks
+    It is built from a dict, a list of blocks or None.  Every
+    "<group>:<field>" key is kept in a Grid and every plain key in a dict:
+    a grid keyed by label alone, or whose labels repeat (grid points equal
+    to 12 digits), and a dict holding grouped keys are refiled entry by
+    entry, a repeated key keeping its first position and its last value.
+    A write goes to the block holding the key, and a new key is filed at
+    the end; nothing builds a dict of the whole section."""
+
+    def __init__(self, entries: dict | list | None = None):
+        self.blocks: list = []
+        for block in entries if isinstance(entries, list) else [entries or {}]:
+            kept = (not any(":" in key for key in block) if isinstance(block, dict)
+                    else None not in block.columns and len(set(block.labels)) == len(block.labels))
+            if kept:
+                self.blocks.append(block)
+            else:
+                for key, value in dict(_items(block)).items():
+                    self._add(key, value)
+
+    def _add(self, key: str, value) -> None:
+        """File a new entry at the end: a plain key in a dict, a grouped key
+        in a one-row Grid of its group."""
+        label, grouped, field = key.partition(":")
+        last = self.blocks[-1] if self.blocks else None
+        if not grouped:
+            if not isinstance(last, dict):
+                self.blocks.append(last := {})
+            last[key] = value
+        else:
+            if not (isinstance(last, Grid) and last.labels == [label]):
+                self.blocks.append(last := Grid([label], {}))
+            last.columns[field] = [value]
 
     def _find(self, key: str) -> tuple:
         """(dict, key, None) or (grid, field, row) of the entry `key`."""
         label, grouped, field = key.partition(":")
-        field = field if grouped else None
         for block in self.blocks:
             if isinstance(block, dict):
                 if key in block:
                     return block, key, None
-            elif field in block.columns and label in block.rows:
+            elif grouped and field in block.columns and label in block.rows:
                 return block, field, block.rows[label]
         raise KeyError(key)
 
@@ -127,9 +156,7 @@ class Section(MutableMapping):
         try:
             block, name, row = self._find(key)
         except KeyError:
-            if not self.blocks or not isinstance(self.blocks[-1], dict):
-                self.blocks.append({})
-            self.blocks[-1][key] = value
+            self._add(key, value)
             return
         if row is None:
             block[name] = value
@@ -137,43 +164,12 @@ class Section(MutableMapping):
             block.columns[name] = column = _values(block.columns[name])
             column[row] = value
 
-    def __delitem__(self, key: str) -> None:
-        block, name, row = self._find(key)
-        if row is not None:  # a grid cannot lose one entry, so it becomes a dict
-            index = next(i for i, b in enumerate(self.blocks) if b is block)
-            block = self.blocks[index] = dict(_items(block))
-        del block[key]
-
     def __iter__(self) -> Iterator[str]:
         return itertools.chain.from_iterable(map(_keys, self.blocks))
 
     def __len__(self) -> int:
         return sum(len(b) if isinstance(b, dict) else len(b.labels) * len(b.columns)
                    for b in self.blocks)
-
-
-def _split(blocks: list) -> list:
-    """The blocks with every "<group>:<field>" key in a Grid: the entries of
-    dicts, and of grids keyed by label alone, are regrouped into one-row
-    Grids of consecutive keys of one group and dicts of plain keys."""
-    split: list = []
-    new = None  # the last block made here, which the next key may join
-    for block in blocks:
-        if isinstance(block, Grid) and None not in block.columns:
-            split.append(block)
-            new = None
-            continue
-        for key, value in _items(block):
-            label, grouped, field = key.partition(":")
-            if not grouped and not isinstance(new, dict):
-                split.append(new := {})
-            elif grouped and not (isinstance(new, Grid) and new.labels == [label]):
-                split.append(new := Grid([label], {}))
-            if grouped:
-                new.columns[field] = [value]
-            else:
-                new[key] = value
-    return split
 
 
 def _render_rows(coeffs: np.ndarray) -> list[str]:
@@ -247,3 +243,107 @@ def _json_value(value, indent: str) -> str:
         items = ",\n".join([inner + _json_value(v, inner) for v in value])
         return f"[\n{items}\n{indent}]" if items else "[]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _text(value) -> str:
+    """CSV and table text of one report value."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, Multivector):
+        return value.render()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _param_text(value) -> str:
+    return " ".join(map(_text, value)) if isinstance(value, (list, tuple)) else _text(value)
+
+
+def _split_groups(report):
+    """Report entries as a table of per-group rows, column by column, and
+    a list of scenario-level (name, text) pairs.
+
+    Each Grid feeds one row per group label.  Each column starts with its
+    header: "point", the fields in order of first appearance, and
+    "verdict" (the group's verdicts that hold); the table is empty when no
+    key is grouped.
+    """
+    rows: dict[str, int] = {}
+    cells: dict[str, dict[int, str]] = {}  # field -> row -> text
+    plain: list[tuple[str, str]] = []
+
+    def file(blocks: list, prefix: str = "") -> None:
+        for block in blocks:
+            if isinstance(block, dict):
+                plain.extend((prefix + key, _text(value)) for key, value in block.items())
+                continue
+            at = [rows.setdefault(g, len(rows)) for g in block.labels]
+            for name, texts in _grid_texts(block, _text, _fmt_all).items():
+                cells.setdefault(name, {}).update(zip(at, texts))
+
+    file(report.exact_results.blocks)
+    for key, m in report.mc_results.items():
+        sep = ":" if ":" in key else "."
+        file(Section({f"{key}{sep}estimate": m.estimate,
+                      f"{key}{sep}standard_error": m.standard_error,
+                      f"{key}{sep}samples": str(m.samples)}).blocks)
+    # keep grouped fields as-is; label scenario-level ones as references
+    file(report.qm_reference.blocks, "qm.")
+    holding: dict[int, list[str]] = {}
+    for block in report.verdicts.blocks:
+        if isinstance(block, dict):
+            plain.extend((key, _text(value)) for key, value in block.items())
+            continue
+        at = [rows.get(g) for g in block.labels]
+        for name, column in block.columns.items():
+            for row, holds in zip(at, map(bool, _values(column))):
+                if holds and row is not None:
+                    holding.setdefault(row, []).append(name)
+
+    if not rows:
+        return [], plain
+    every = range(len(rows))
+    return [["point", *rows], *([name, *map(cell.get, every, itertools.repeat(""))]
+                                for name, cell in cells.items()),
+            ["verdict", *map(";".join, map(holding.get, every, itertools.repeat(())))]], plain
+
+
+def emit_csv(report) -> str:
+    """The ScenarioReport as CSV: the per-group table, then name,value rows."""
+    table, plain = _split_groups(report)
+    lines = list(map(",".join, zip(*table)))
+    if table and plain:
+        lines.append("")
+    if plain or not table:
+        lines.append("name,value")
+        lines.extend(f"{name},{value}" for name, value in plain)
+    return "\n".join(lines) + "\n"
+
+
+def emit_table(report, passed: bool) -> str:
+    """The ScenarioReport as aligned text; `passed` is report.gate_passed()."""
+    table, plain = _split_groups(report)
+    lines = [f"scenario: {report.scenario_name}", f"seed: {report.seed}", "parameters:"]
+    for block in report.parameters.blocks:
+        lines.extend(_block_lines(block, "  ", str, _param_text, _fmt_all))
+
+    if table:
+        for column in table[:-1]:  # the last column's padding would be stripped
+            width = max(map(len, column))
+            column[:] = [text.ljust(width) for text in column]
+        lines.append("")
+        lines.extend("  ".join(row).rstrip() for row in zip(*table))
+
+    if plain:
+        lines.append("")
+        lines.append("results:")
+        for name, value in plain:
+            lines.append(f"  {name}: {value}")
+
+    lines.append("")
+    lines.append(f"gate: {'PASS' if passed else 'FAIL'}")
+    if "consistent_assignments" in report.exact_results:
+        count = int(report.exact_results["consistent_assignments"])
+        lines.append(f"consistent assignments: {count}")
+    return "\n".join(lines) + "\n"

@@ -44,7 +44,7 @@ from .models import (
     pair_product,
     random_unit_vectors,
 )
-from .report import Grid, Section, _fmt_all, _grid_keys, _items, _json_value, _split
+from .report import Grid, Section, _fmt_all, _grid_keys, _json_value
 
 EXACT_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
@@ -71,13 +71,11 @@ def _parallel_pairs(parameters: Section, groups: list[str]) -> np.ndarray:
     """Whether a and b of each "pair[i]" group are parallel or antiparallel,
     i.e. every commutator coefficient 2(a x b)_k is within EXACT_TOL of zero.
     Reads the 12-digit pair texts parameters["pair[i]"] in one bulk parse,
-    straight from a grid column over the same groups if there is one; that
+    straight from a dict block holding them all if there is one; that
     rounding is the one approximation in the gate designations."""
-    texts = next((block.columns[None] for block in parameters.blocks if isinstance(block, Grid)
-                  and None in block.columns and block.labels == groups), None)
-    if texts is None:
-        texts = [parameters[g] for g in groups]
-    text = " ".join(texts).translate(str.maketrans("", "", "ab=();"))
+    block = next((b for b in parameters.blocks
+                  if isinstance(b, dict) and all(g in b for g in groups)), parameters)
+    text = " ".join([block[g] for g in groups]).translate(str.maketrans("", "", "ab=();"))
     a, b = np.array(text.split(), dtype=float).reshape(-1, 2, 3).transpose(1, 0, 2)
     return np.all(np.abs(2.0 * np.cross(a, b)) <= EXACT_TOL, axis=1)
 
@@ -120,11 +118,10 @@ def _dir_xz(theta: float) -> Vec3:
 MAX_GRID_POINTS = 1_000_000
 
 
-def closed_grid(start: float, stop: float, step: float) -> list[float]:
-    """Grid start + k*step, closed on both ends (no accumulation drift).
-
-    Rejects non-finite bounds and grids of more than MAX_GRID_POINTS points
-    with ValueError before anything is allocated."""
+def grid_points(start: float, stop: float, step: float) -> int:
+    """The number of points of closed_grid(start, stop, step).  Rejects
+    non-finite bounds, a step that is not positive, stop before start and
+    grids of more than MAX_GRID_POINTS points with ValueError."""
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0.0:
@@ -135,8 +132,13 @@ def closed_grid(start: float, stop: float, step: float) -> list[float]:
     intervals = span / step + 1e-9
     if intervals >= MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
-    count = int(math.floor(intervals)) + 1
-    return [start + k * step for k in range(count)]
+    return int(math.floor(intervals)) + 1
+
+
+def closed_grid(start: float, stop: float, step: float) -> list[float]:
+    """Grid start + k*step, closed on both ends (no accumulation drift),
+    validated by grid_points before anything is allocated."""
+    return [start + k * step for k in range(grid_points(start, stop, step))]
 
 
 @dataclass(frozen=True)
@@ -157,17 +159,6 @@ def _agrees(values, want) -> bool:
     return all(w is INFO or ok == w for ok, w in zip(values, wants))
 
 
-def _section(entries: dict | list | None) -> Section:
-    """A Section of a dict, or of a list of blocks.  A grid whose labels
-    repeat (grid points equal to 12 digits) is replaced by the dict of its
-    entries: each key at its first position, with its last value."""
-    if not isinstance(entries, list):
-        return Section([{} if entries is None else entries])
-    return Section([dict(_items(block)) if isinstance(block, Grid)
-                    and len(set(block.labels)) < len(block.labels) else block
-                    for block in entries])
-
-
 class ScenarioReport:
     """One run's report; mc_results maps names to McResult.  parameters,
     exact_results, qm_reference and verdicts are Sections, each given as a
@@ -178,10 +169,10 @@ class ScenarioReport:
                  qm_reference: dict | list | None = None, verdicts: dict | list | None = None,
                  seed: int = 0):
         self.scenario_name = scenario_name
-        self.parameters = _section(parameters)
-        self.exact_results = _section(exact_results)
-        self.qm_reference = _section(qm_reference)
-        self.verdicts = _section(verdicts)
+        self.parameters = Section(parameters)
+        self.exact_results = Section(exact_results)
+        self.qm_reference = Section(qm_reference)
+        self.verdicts = Section(verdicts)
         self.mc_results = {} if mc_results is None else mc_results
         self.seed = seed
 
@@ -190,7 +181,7 @@ class ScenarioReport:
         plain verdict being a dict block's column of one.  A designation is
         True, False, INFO or a sequence of one of those per value."""
         gates = GATES.get((self.scenario_name, self.parameters.get("model")), {})
-        for block in _split(self.verdicts.blocks):
+        for block in self.verdicts.blocks:
             grid = isinstance(block, Grid)
             for field, values in (block.columns.items() if grid
                                   else ((key, [ok]) for key, ok in block.items())):
@@ -456,7 +447,6 @@ def run_sequential(model: str = "clifford",
     mc: dict[str, McResult] = {}
     verdicts: dict[str, bool] = {}
     parameters: dict = {"model": model, "samples": samples}
-    report = ScenarioReport("sequential", parameters, exact, mc, qm_ref, verdicts, seed)
 
     if model == "clifford":
         if rule is None:
@@ -469,7 +459,7 @@ def run_sequential(model: str = "clifford",
         m_zx = verdicts["P_zx_matches_qm"] = abs(exact["P_zx"] - qm_ref["P_zx"]) <= EXACT_TOL
         verdicts["defect_demonstrated"] = not (m_zz and m_zx)
         qm_ref.pop("P_zxz")
-        return report
+        return ScenarioReport("sequential", parameters, exact, mc, qm_ref, verdicts, seed)
 
     _check_samples(samples, MIN_MC_SAMPLES)
     parameters["note"] = BELL_UPDATE_NOTE
@@ -492,7 +482,7 @@ def run_sequential(model: str = "clifford",
         verdicts[f"{name}_mc_matches_qm"] = abs(m.estimate - qm_ref[name]) <= 3.0 * m.standard_error
     if static:
         verdicts["third_measurement_defect"] = not verdicts["P_zxz_matches_qm"]
-    return report
+    return ScenarioReport("sequential", parameters, exact, mc, qm_ref, verdicts, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +678,8 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
     normalization_violations = int(np.count_nonzero(~normalized_ok))
     return ScenarioReport(
         scenario_name="constraint-check",
-        parameters=[{"meter_a_def_sign": meter_a.def_sign, "meter_b_def_sign": meter_b.def_sign,
-                     "n_pairs": len(pairs)}, Grid(groups, {None: pair_texts})],
+        parameters={"meter_a_def_sign": meter_a.def_sign, "meter_b_def_sign": meter_b.def_sign,
+                    "n_pairs": len(pairs), **dict(zip(groups, pair_texts))},
         exact_results=[Grid(groups, {"commutator": audit.commutator_avg,
                                      "commutator_norm": _coeff_norms(audit.commutator_avg),
                                      "square": audit.square_avg,

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from bellcheck import cli, scenarios
+from bellcheck.report import emit_csv
 from bellcheck.scenarios import McResult, ScenarioReport, closed_grid
 
 
@@ -69,7 +70,7 @@ def test_non_finite_angles_exit_2(slot, value):
 def test_negative_angle_start(angles, capsys):
     assert cli.main(["run", "constraint-check", *angles, "--format", "csv"]) == 0
     pairs = [(scenarios.E_Z, scenarios._dir_xz(t)) for t in closed_grid(-0.1, 0.1, 0.1)]
-    assert capsys.readouterr().out == cli.emit_csv(scenarios.run_constraint_check(pairs))
+    assert capsys.readouterr().out == emit_csv(scenarios.run_constraint_check(pairs))
 
 
 def test_bare_trailing_angles_exits_2(capsys):
@@ -78,10 +79,17 @@ def test_bare_trailing_angles_exits_2(capsys):
 
 
 def test_oversized_grids_exit_2(capsys):
-    assert cli.main(["run", "epr-scan", "--angles", "0:1e12:1e-9"]) == 2
-    assert cli.main(["run", "constraint-check", "--angles", "0:1e12:1e-9"]) == 2
-    assert cli.main(["run", "update-rule-search", "--grid-step", "1e-300"]) == 2
-    assert "more than 1000000 points" in capsys.readouterr().err
+    assert exit_code(["epr-scan", "--angles", "0:1e12:1e-9"]) == 2
+    assert exit_code(["constraint-check", "--angles", "0:1e12:1e-9"]) == 2
+    assert exit_code(["update-rule-search", "--grid-step", "1e-300"]) == 2
+    assert capsys.readouterr().err.count("more than 1000000 points") == 3
+
+
+def test_oversized_angle_grid_is_refused_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as err:
+        parse(["epr-scan", "--angles", "0:1e12:1e-9"])
+    assert err.value.code == 2
+    assert "--angles: grid has more than 1000000 points" in capsys.readouterr().err
 
 
 def test_mc_scenarios_need_samples_for_machine_formats():
@@ -258,7 +266,7 @@ def test_csv_header_keeps_first_appearance_across_sections():
     report.verdicts["g1:ok"] = True
     report.verdicts["g2:ok"] = False
     report.verdicts["all_ok"] = True
-    assert cli.emit_csv(report) == (
+    assert emit_csv(report) == (
         "point,a,b,m:estimate,m:standard_error,m:samples,c,verdict\n"
         "g1,1,,,,,-1,ok\n"
         "g2,,2.5,0.25,0.125,10,,\n"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from bellcheck import cli
+from bellcheck.report import emit_csv, emit_table
 from bellcheck.scenarios import ScenarioReport
 from test_golden import DEFAULTS
 
@@ -55,9 +56,9 @@ def test_json_round_trip_keeps_every_format(name):
     report = _report(READ_BACK[name])
     back = _read_back(report)
     assert back.to_json() == report.to_json()
-    assert cli.emit_csv(back) == cli.emit_csv(report)
-    assert (cli.emit_table(back, back.gate_passed())
-            == cli.emit_table(report, report.gate_passed()))
+    assert emit_csv(back) == emit_csv(report)
+    assert (emit_table(back, back.gate_passed())
+            == emit_table(report, report.gate_passed()))
 
 
 @pytest.mark.parametrize("angles", [

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bellcheck import scenarios
 from bellcheck.clifford import Multivector
 from bellcheck.models import (
     FLIPPED,
@@ -17,12 +18,10 @@ from bellcheck.models import (
     batch_constraint_check,
     batch_observable_value,
     batch_pair_product,
-    bell_observable,
     constraint_check,
     effective_outcome,
     expectation_over_mu,
     hemisphere_samples,
-    hemisphere_update,
     meter_outcome,
     observable_value,
     pair_product,
@@ -293,15 +292,35 @@ def test_batched_model_functions_reject_non_unit_directions():
 # -- Bell's scalar model -------------------------------------------------
 
 
+# Bell's observable sign(a.lambda) is read off whole batches of lambdas in
+# bellcheck.scenarios: by the static sign correlation, and by the static
+# posterior, which keeps the lambdas that read "up" along z, then along x.
+
+
+def sign_reading(a, lam):
+    """sign(a.lam) through scenarios._static_sign_correlation: with b = lam,
+    the second meter reads -sign(lam.lam) = -1 on a batch of two copies."""
+    return -scenarios._static_sign_correlation(a, lam, np.array([lam, lam])).estimate
+
+
 def test_bell_observable_examples():
-    assert bell_observable(EZ, (0.0, 0.0, 1.0)) == 1
-    assert bell_observable(EZ, (0.6, 0.0, -0.8)) == -1
     s = 1.0 / math.sqrt(2.0)
-    assert bell_observable(EX, (s, s, 0.0)) == 1
+    assert sign_reading(EZ, (0.0, 0.0, 1.0)) == 1
+    assert sign_reading(EZ, (0.6, 0.0, -0.8)) == -1
+    assert sign_reading(EX, (s, s, 0.0)) == 1
+    lams = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, -0.8], [s, 0.0, s], [-s, 0.0, s]])
+    after_z, after_zx = scenarios._static_posterior(lams)
+    assert after_z.tolist() == lams[[0, 2, 3]].tolist()
+    assert after_zx.tolist() == lams[[0, 2]].tolist()  # x = 0 reads up
 
 
 def test_bell_observable_tie_resolves_positive():
-    assert bell_observable(EZ, (1.0, 0.0, 0.0)) == 1
+    # a.lambda = 0 reads +1.
+    assert sign_reading(EZ, (1.0, 0.0, 0.0)) == 1
+    assert sign_reading(EX, (0.0, 1.0, 0.0)) == 1
+    lams = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+    after_z, after_zx = scenarios._static_posterior(lams)
+    assert after_z.tolist() == after_zx.tolist() == lams.tolist()
 
 
 def test_bell_observable_odd_under_lambda_negation(rng):
@@ -311,7 +330,13 @@ def test_bell_observable_odd_under_lambda_negation(rng):
         if abs(sum(x * y for x, y in zip(a, lam))) < 1e-12:
             continue
         neg = tuple(-c for c in lam)
-        assert bell_observable(a, lam) == -bell_observable(a, neg)
+        assert sign_reading(a, lam) == -sign_reading(a, neg)
+    # Off the measure-zero ties, a lambda reads up along z exactly when
+    # its negation reads down.
+    lams = random_unit_vectors(rng, 1_000)
+    up, down = (scenarios._static_posterior(x)[0] for x in (lams, -lams))
+    assert len(up) + len(down) == len(lams)
+    assert np.all(up[:, 2] > 0.0) and np.all(down[:, 2] > 0.0)
 
 
 def test_hemisphere_marginals(rng):
@@ -329,12 +354,6 @@ def test_hemisphere_support_for_any_pole_and_outcome(rng):
         assert np.all(outcome * dots > 0.0)
         norms = np.linalg.norm(lams, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
-
-
-def test_hemisphere_update_returns_unit_tuple(rng):
-    lam = hemisphere_update(EZ, -1, rng)
-    assert lam[2] < 0.0
-    assert abs(math.sqrt(sum(c * c for c in lam)) - 1.0) <= 1e-12
 
 
 def test_random_unit_vectors_are_unit(rng):

@@ -1,13 +1,14 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from bellcheck import cli, scenarios
-from bellcheck.report import Grid, _grid_keys, _items, _json_number
+from bellcheck import scenarios
+from bellcheck.report import Grid, _grid_keys, _items, _json_number, emit_csv, emit_table
 from bellcheck.clifford import Multivector
 from bellcheck.models import MeterModel, UpdateRule
 from bellcheck.scenarios import (
@@ -126,7 +127,7 @@ def test_epr_scan_points_equal_to_12_digits_share_one_key():
     last = run_epr_scan([1.0 + 1e-13], "original")
     assert report.exact_results == last.exact_results
     assert report.to_json().count('"theta=1:model_scalar"') == 1
-    assert cli.emit_csv(report) == cli.emit_csv(last)
+    assert emit_csv(report) == emit_csv(last)
 
 
 def test_epr_scan_rejects_empty_grid_and_bad_mode():
@@ -476,15 +477,29 @@ def _section(values, verdicts=False, fields=_FIELDS):
     return st.one_of(entries, blocks)
 
 
+_SECTIONS = ("parameters", "exact_results", "qm_reference", "verdicts")
+
+
+def _plain(report):
+    """The report with each section as a plain dict of its entries, which
+    the references in tests/oracles.py read as they read a report."""
+    return SimpleNamespace(**{**vars(report), **{
+        name: dict(getattr(report, name)) for name in _SECTIONS}})
+
+
 @st.composite
 def _reports(draw):
+    """(report, plain): a report built from drawn sections, then written
+    to, and _plain of it before the writes with the same writes made to
+    its dicts.  A write files a new plain key, a new grouped key, or
+    overwrites a grid entry."""
     name, model = draw(_SCENARIOS)
     parameters = draw(_section(_VALUES, fields=st.one_of(_FIELDS, st.none())))
     if model is not None:
         model_block = {"model": model}
         parameters = _distinct([model_block, *parameters]) if isinstance(parameters, list) else {
             **parameters, **model_block}
-    return ScenarioReport(
+    report = ScenarioReport(
         scenario_name=name,
         parameters=parameters,
         exact_results=draw(_section(_VALUES)),
@@ -496,6 +511,22 @@ def _reports(draw):
         verdicts=draw(_section(st.booleans(), verdicts=True)),
         seed=draw(st.integers(0, 2 ** 64 - 1)),
     )
+    plain = _plain(report)
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(_SECTIONS))
+        section = getattr(report, name)
+        kind = draw(st.sampled_from(["plain", "grouped", "grid entry"]))
+        if kind == "grid entry":
+            keys = [k for block in section.blocks if isinstance(block, Grid)
+                    for f in block.columns for k in _grid_keys(block, f)]
+            if not keys:
+                continue
+            key = draw(st.sampled_from(keys))
+        else:
+            key = draw(_GROUPED_KEYS if kind == "grouped" else _KEYS.filter(lambda k: ":" not in k))
+        section[key] = getattr(plain, name)[key] = draw(
+            st.booleans() if name == "verdicts" else _VALUES)
+    return report, plain
 
 
 @st.composite
@@ -511,32 +542,37 @@ def _constraint_check_reports(draw):
     verdicts = Grid(labels, {f: _column(draw, n, True)
                                        for f in ("commutator_zero", "normalization_holds")})
     as_dicts = draw(st.booleans())
-    return ScenarioReport(
+    report = ScenarioReport(
         "constraint-check",
         dict(zip(labels, texts)) if as_dicts else [{"n_pairs": n}, pairs],
         {"commutator_violations": 0},
         verdicts=(dict(_items(verdicts)) if as_dicts
                   else [verdicts, {"normalization_violated_for_all": draw(st.booleans())}]),
     )
+    return report, _plain(report)
 
 
 @settings(max_examples=150)
 @given(_reports())
-def test_to_json_matches_the_json_dumps_reference(report):
-    assert report.to_json() == oracles.ref_report_json(report)
+def test_to_json_matches_the_json_dumps_reference(case):
+    report, plain = case
+    assert report.to_json() == oracles.ref_report_json(plain)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_reports(), _constraint_check_reports()))
-def test_block_writers_match_the_dict_path_reference(report):
-    # The blocks are read first: reading the section dicts builds them.
+def test_block_writers_match_the_dict_path_reference(case):
+    report, plain = case
+    # Every "<group>:<field>" key was filed in a Grid when it was written.
+    for section in (report.exact_results, report.qm_reference, report.verdicts):
+        assert not any(":" in key for block in section.blocks if isinstance(block, dict)
+                       for key in block)
     passed = report.gate_passed()
-    got = cli.emit_csv(report), cli.emit_table(report, passed), passed
-    expected = report.expected
-    assert got == (oracles.ref_emit_csv(report), oracles.ref_emit_table(report),
-                   oracles.ref_gate_passed(report))
-    assert expected == {name: want for name, want in zip(
-        report.verdicts, oracles.ref_designations(report)) if want is not scenarios.INFO}
+    got = emit_csv(report), emit_table(report, passed), passed
+    assert got == (oracles.ref_emit_csv(plain), oracles.ref_emit_table(plain),
+                   oracles.ref_gate_passed(plain))
+    assert report.expected == {name: want for name, want in zip(
+        plain.verdicts, oracles.ref_designations(plain)) if want is not scenarios.INFO}
 
 
 def test_gate_fails_when_expected_verdict_differs():
