@@ -74,8 +74,8 @@ def _parallel_pairs(parameters: Section, groups: list[str]) -> np.ndarray:
     straight from a dict block holding them all if there is one; that
     rounding is the one approximation in the gate designations."""
     block = next((b for b in parameters.blocks
-                  if isinstance(b, dict) and all(g in b for g in groups)), parameters)
-    text = " ".join([block[g] for g in groups]).translate(str.maketrans("", "", "ab=();"))
+                  if isinstance(b, dict) and all(map(b.__contains__, groups))), parameters)
+    text = " ".join(map(block.__getitem__, groups)).translate(str.maketrans("", "", "ab=();"))
     a, b = np.array(text.split(), dtype=float).reshape(-1, 2, 3).transpose(1, 0, 2)
     return np.all(np.abs(2.0 * np.cross(a, b)) <= EXACT_TOL, axis=1)
 
@@ -678,8 +678,8 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
     normalization_violations = int(np.count_nonzero(~normalized_ok))
     return ScenarioReport(
         scenario_name="constraint-check",
-        parameters={"meter_a_def_sign": meter_a.def_sign, "meter_b_def_sign": meter_b.def_sign,
-                    "n_pairs": len(pairs), **dict(zip(groups, pair_texts))},
+        parameters=[{"meter_a_def_sign": meter_a.def_sign, "meter_b_def_sign": meter_b.def_sign,
+                     "n_pairs": len(pairs)}, dict(zip(groups, pair_texts))],
         exact_results=[Grid(groups, {"commutator": audit.commutator_avg,
                                      "commutator_norm": _coeff_norms(audit.commutator_avg),
                                      "square": audit.square_avg,

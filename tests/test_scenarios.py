@@ -513,8 +513,8 @@ def _reports(draw):
     )
     plain = _plain(report)
     for _ in range(draw(st.integers(0, 3))):
-        name = draw(st.sampled_from(_SECTIONS))
-        section = getattr(report, name)
+        section_name = draw(st.sampled_from(_SECTIONS))
+        section = getattr(report, section_name)
         kind = draw(st.sampled_from(["plain", "grouped", "grid entry"]))
         if kind == "grid entry":
             keys = [k for block in section.blocks if isinstance(block, Grid)
@@ -524,8 +524,8 @@ def _reports(draw):
             key = draw(st.sampled_from(keys))
         else:
             key = draw(_GROUPED_KEYS if kind == "grouped" else _KEYS.filter(lambda k: ":" not in k))
-        section[key] = getattr(plain, name)[key] = draw(
-            st.booleans() if name == "verdicts" else _VALUES)
+        section[key] = getattr(plain, section_name)[key] = draw(
+            st.booleans() if section_name == "verdicts" else _VALUES)
     return report, plain
 
 
