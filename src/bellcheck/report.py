@@ -2,12 +2,12 @@
 
 A report section is a Section: an ordered list of blocks, each a dict of
 plain keys or a Grid of group labels and named columns, read as one dict
-whose keys run in block order.  A section is regrouped once, when it is
-built and when a new key is written, so that every "<group>:<field>" key
-is in a Grid.  Grid runners fill whole columns from arrays, and the
-writers read the blocks as they are: each column is formatted once and
-the lines are zipped point by point, without building a dict of a section
-or a Multivector per row.
+whose keys run in block order.  A section is built once and never written
+to; _regroup files every "<group>:<field>" key of a block it is given in a
+Grid.  Grid runners fill whole columns from arrays, and the writers read
+the blocks as they are: each column is formatted once and the lines are
+zipped point by point, without building a dict of a section or a
+Multivector per row.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -57,8 +58,7 @@ def _json_numbers(values: list[float]) -> list[str]:
 class Grid:
     """A block of report entries: one row per group label, one column per
     field.  Its keys are "<label>:<field>", point by point with the fields
-    in column order; the field None keys an entry by its label alone, and
-    a Section files such entries in a dict.  Labels hold no ":".  A column
+    in column order.  Labels hold no ":".  A column
     is a list of values, a 1-D numpy array holding the values its tolist()
     gives, or an (N, 8) coefficient array holding Multivectors."""
 
@@ -71,8 +71,8 @@ class Grid:
         return dict(zip(self.labels, range(len(self.labels))))
 
 
-def _grid_keys(grid: Grid, field: str | None) -> list[str]:
-    return grid.labels if field is None else [f"{label}:{field}" for label in grid.labels]
+def _grid_keys(grid: Grid, field: str) -> list[str]:
+    return [f"{label}:{field}" for label in grid.labels]
 
 
 def _values(column) -> list:
@@ -95,74 +95,61 @@ def _items(block) -> Iterable[tuple[str, object]]:
     return zip(_keys(block), itertools.chain.from_iterable(values))
 
 
+def _regroup(entries: dict) -> list:
+    """The entries as blocks, in key order: each run of plain keys in a
+    dict, and each run of consecutive points ("<label>:<field>" keys of one
+    label) that have the same fields in one Grid."""
+    blocks: list = []
+    shape = None  # the fields of the last block, () for a dict
+    split = ((*key.partition(":"), value) for key, value in entries.items())
+    for (label, grouped), run in itertools.groupby(split, operator.itemgetter(0, 1)):
+        if not grouped:
+            if shape != ():
+                blocks.append({})
+                shape = ()
+            blocks[-1].update((key, value) for key, _, _, value in run)
+            continue
+        point = {field: value for _, _, field, value in run}
+        if tuple(point) != shape:
+            blocks.append(Grid([], {field: [] for field in point}))
+            shape = tuple(point)
+        blocks[-1].labels.append(label)
+        for column, value in zip(blocks[-1].columns.values(), point.values()):
+            column.append(value)
+    return blocks
+
+
 class Section(Mapping):
     """A report section: a list of blocks (dicts and Grids) that hold
     distinct keys, read as one dict whose keys run in block order.
 
-    It is built from a dict, a list of blocks or None.  Every
-    "<group>:<field>" key is kept in a Grid and every plain key in a dict:
-    a grid keyed by label alone, or whose labels repeat (grid points equal
-    to 12 digits), and a dict holding grouped keys are refiled entry by
-    entry, a repeated key keeping its first position and its last value.
-    A write goes to the block holding the key, and a new key is filed at
-    the end; nothing builds a dict of the whole section."""
+    It is built from a dict, a list of blocks or None, and is read-only.
+    Every "<group>:<field>" key is kept in a Grid and every plain key in a
+    dict: a dict holding grouped keys and a grid whose labels repeat (grid
+    points equal to 12 digits) are refiled by _regroup, a repeated key
+    keeping its first position and its last value."""
 
     def __init__(self, entries: dict | list | None = None):
         self.blocks: list = []
         for block in entries if isinstance(entries, list) else [entries or {}]:
-            kept = (not any(":" in key for key in block) if isinstance(block, dict)
-                    else None not in block.columns and len(set(block.labels)) == len(block.labels))
-            if kept:
+            if (not any(":" in key for key in block) if isinstance(block, dict)
+                    else len(set(block.labels)) == len(block.labels)):
                 self.blocks.append(block)
             else:
-                for key, value in dict(_items(block)).items():
-                    self._add(key, value)
+                self.blocks.extend(_regroup(dict(_items(block))))
 
-    def _add(self, key: str, value) -> None:
-        """File a new entry at the end: a plain key in a dict, a grouped key
-        in a one-row Grid of its group."""
-        label, grouped, field = key.partition(":")
-        last = self.blocks[-1] if self.blocks else None
-        if not grouped:
-            if not isinstance(last, dict):
-                self.blocks.append(last := {})
-            last[key] = value
-        else:
-            if not (isinstance(last, Grid) and last.labels == [label]):
-                self.blocks.append(last := Grid([label], {}))
-            last.columns[field] = [value]
-
-    def _find(self, key: str) -> tuple:
-        """(dict, key, None) or (grid, field, row) of the entry `key`."""
+    def __getitem__(self, key: str):
         label, grouped, field = key.partition(":")
         for block in self.blocks:
             if isinstance(block, dict):
                 if key in block:
-                    return block, key, None
+                    return block[key]
             elif grouped and field in block.columns and label in block.rows:
-                return block, field, block.rows[label]
+                column, row = block.columns[field], block.rows[label]
+                if isinstance(column, np.ndarray):
+                    return Multivector(column[row].tolist()) if column.ndim == 2 else column[row].item()
+                return column[row]
         raise KeyError(key)
-
-    def __getitem__(self, key: str):
-        block, name, row = self._find(key)
-        if row is None:
-            return block[name]
-        column = block.columns[name]
-        if isinstance(column, np.ndarray):
-            return Multivector(column[row].tolist()) if column.ndim == 2 else column[row].item()
-        return column[row]
-
-    def __setitem__(self, key: str, value) -> None:
-        try:
-            block, name, row = self._find(key)
-        except KeyError:
-            self._add(key, value)
-            return
-        if row is None:
-            block[name] = value
-        else:
-            block.columns[name] = column = _values(block.columns[name])
-            column[row] = value
 
     def __iter__(self) -> Iterator[str]:
         return itertools.chain.from_iterable(map(_keys, self.blocks))
@@ -180,7 +167,7 @@ def _render_rows(coeffs: np.ndarray) -> list[str]:
             for text in map("".join, zip(*terms))] if terms else ["0"] * len(coeffs)
 
 
-def _grid_texts(grid: Grid, text: Callable, numbers: Callable) -> dict[str | None, list[str]]:
+def _grid_texts(grid: Grid, text: Callable, numbers: Callable) -> dict[str, list[str]]:
     """Field -> text of each value in its column: numbers(list) of a float
     array, "true"/"false" of a bool mask, text() of anything else, with a
     coefficient array's rows rendered first.  A column that several fields
@@ -285,9 +272,9 @@ def _split_groups(report):
     file(report.exact_results.blocks)
     for key, m in report.mc_results.items():
         sep = ":" if ":" in key else "."
-        file(Section({f"{key}{sep}estimate": m.estimate,
-                      f"{key}{sep}standard_error": m.standard_error,
-                      f"{key}{sep}samples": str(m.samples)}).blocks)
+        file(_regroup({f"{key}{sep}estimate": m.estimate,
+                       f"{key}{sep}standard_error": m.standard_error,
+                       f"{key}{sep}samples": str(m.samples)}))
     # keep grouped fields as-is; label scenario-level ones as references
     file(report.qm_reference.blocks, "qm.")
     holding: dict[int, list[str]] = {}

@@ -366,17 +366,8 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
 
     tsirelson = 2.0 * math.sqrt(2.0)
     mc: dict[str, McResult] = {}
-    report = ScenarioReport(
-        scenario_name="chsh",
-        parameters={"samples": samples, "angles": list(CHSH_ANGLES)},
-        exact_results={"model_scalar_chsh": model_chsh},
-        mc_results=mc,
-        qm_reference={"chsh": qm, "local_bound": 2.0, "tsirelson_bound": tsirelson},
-        verdicts={"qm_chsh_at_tsirelson": abs(qm - tsirelson) <= 1e-9,
-                  "model_scalar_chsh_matches_qm": abs(model_chsh - qm) <= EXACT_TOL},
-        seed=seed,
-    )
-
+    verdicts = {"qm_chsh_at_tsirelson": abs(qm - tsirelson) <= 1e-9,
+                "model_scalar_chsh_matches_qm": abs(model_chsh - qm) <= EXACT_TOL}
     if samples > 0:
         rng = np.random.default_rng(seed)
         terms = {name: _static_sign_correlation(x, y, random_unit_vectors(rng, samples))
@@ -385,8 +376,17 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
         s_est = quantum.chsh_combination(*(term.estimate for term in terms.values()))
         s_se = math.sqrt(sum(t.standard_error ** 2 for t in terms.values()))
         mc["bell_static_chsh"] = McResult(s_est, s_se, samples)
-        report.verdicts["bell_static_within_local_bound"] = s_est <= 2.0 + 3.0 * s_se
-    return report
+        verdicts["bell_static_within_local_bound"] = s_est <= 2.0 + 3.0 * s_se
+
+    return ScenarioReport(
+        scenario_name="chsh",
+        parameters={"samples": samples, "angles": list(CHSH_ANGLES)},
+        exact_results={"model_scalar_chsh": model_chsh},
+        mc_results=mc,
+        qm_reference={"chsh": qm, "local_bound": 2.0, "tsirelson_bound": tsirelson},
+        verdicts=verdicts,
+        seed=seed,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -262,10 +262,8 @@ def test_csv_header_keeps_first_appearance_across_sections():
         exact_results={"g1:a": 1.0, "g2:b": 2.5, "total": 3},
         mc_results={"g2:m": McResult(0.25, 0.125, 10), "pooled": McResult(0.5, 0.1, 20)},
         qm_reference={"g1:c": -1.0, "bound": 2.0},
+        verdicts={"g1:ok": True, "g2:ok": False, "all_ok": True},
     )
-    report.verdicts["g1:ok"] = True
-    report.verdicts["g2:ok"] = False
-    report.verdicts["all_ok"] = True
     assert emit_csv(report) == (
         "point,a,b,m:estimate,m:standard_error,m:samples,c,verdict\n"
         "g1,1,,,,,-1,ok\n"
@@ -309,8 +307,9 @@ def test_gate_failure_exits_1(monkeypatch, capsys):
     def broken(config):
         report = real(config)
         name = next(iter(report.expected))
-        report.verdicts[name] = not report.expected[name]
-        return report
+        data = report.to_json_dict()
+        data["verdicts"][name] = not report.expected[name]
+        return ScenarioReport.from_json_dict(data)
 
     monkeypatch.setattr(cli, "run_scenario", broken)
     code = cli.main(["run", "update-rule-search"])
