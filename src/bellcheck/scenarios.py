@@ -432,7 +432,8 @@ def run_sequential(model: str = "clifford",
     clifford: the hidden state after the first measurement is mu with the
     update rule applied, so P(z then z both up) and P(z then x both up) are
     both 1 - flip_prob: no rule reaches the quantum pair (1, 1/2).  The z/x
-    choice is the experimenter's, so the rule cannot depend on it.
+    choice is the experimenter's, so the rule cannot depend on it.  No
+    samples are drawn, so the parameters record no sample count.
 
     bell-static / bell-hemisphere: the sign model with a fixed lambda keeps
     the first two conditionals right but forces the third z outcome after a
@@ -446,7 +447,7 @@ def run_sequential(model: str = "clifford",
     exact: dict = {}
     mc: dict[str, McResult] = {}
     verdicts: dict[str, bool] = {}
-    parameters: dict = {"model": model, "samples": samples}
+    parameters: dict = {"model": model}
 
     if model == "clifford":
         if rule is None:
@@ -462,7 +463,7 @@ def run_sequential(model: str = "clifford",
         return ScenarioReport("sequential", parameters, exact, mc, qm_ref, verdicts, seed)
 
     _check_samples(samples, MIN_MC_SAMPLES)
-    parameters["note"] = BELL_UPDATE_NOTE
+    parameters.update(samples=samples, note=BELL_UPDATE_NOTE)
     rng = np.random.default_rng(seed)
     static = model == "bell-static"
 

@@ -47,7 +47,7 @@ TEXT_DIGESTS = {
         "epr-scan-original": "a59b69d89a2379b88ba24a1dac7c26132cc2d2f8e297f85e33fc05390ee050c8",
         "sequential-bell-hemisphere": "18f3641ec74844eeb80a753b40a9fd3d78eef99ca00bf0789cc008f53f005858",
         "sequential-bell-static": "a37c2ae0a1fd6c7e9c7a43f4d4a322f1705cc45ad92762084c9f2230a41f4fa3",
-        "sequential-clifford": "6278b2fc7cb61c57a55cb0597c9da365539bdd697362580c33bfedf3207e1655",
+        "sequential-clifford": "9aecd70405ee0089f7a37f8a7436b7b4b26eca25f4400831db3bea8d2431d97d",
         "three-particle": "deeb11862b240fa9a071f359fcb4c03a456eea788e137112d5eff05ab2d6d897",
         "update-rule-search": "1778442b5d5d2d10f1c0fdd4e8ec25db9fe8a1f3b684e92e63a1d0242efd6758",
     },

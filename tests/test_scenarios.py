@@ -184,6 +184,14 @@ def test_sequential_clifford_half_flip_rule():
     assert report.gate_passed()
 
 
+def test_sequential_parameters_record_samples_only_where_drawn():
+    clifford = run_sequential("clifford", UpdateRule.post_z(0.0), samples=10_000)
+    assert list(clifford.parameters) == ["model", "flip_prob_after_z"]
+    static = run_sequential("bell-static", None, samples=10_000, seed=1)
+    assert list(static.parameters) == ["model", "samples", "note"]
+    assert static.parameters["samples"] == 10_000
+
+
 def test_sequential_clifford_requires_rule():
     with pytest.raises(ValueError):
         run_sequential("clifford", None)
