@@ -246,14 +246,6 @@ def batch_product(x, y, product: str = "geometric") -> np.ndarray:
     return acc
 
 
-def dual(x: Multivector) -> Multivector:
-    return x.dual()
-
-
-def reverse(x: Multivector) -> Multivector:
-    return x.reverse()
-
-
 # -- vectors ---------------------------------------------------------------
 
 UNIT_TOL = 1e-12

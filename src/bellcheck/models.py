@@ -39,8 +39,6 @@ from .clifford import (
 NATURAL = 1
 FLIPPED = -1
 
-DIRECTION_TAGS = ("z", "x")
-
 T = TypeVar("T")
 
 
@@ -221,14 +219,6 @@ class UpdateRule:
         if key not in self.flip_probs:
             raise ValueError(f"update rule not defined for {key!r}")
         return self.flip_probs[key]
-
-    @classmethod
-    def identity(cls) -> "UpdateRule":
-        return cls.uniform(0.0)
-
-    @classmethod
-    def uniform(cls, p: float) -> "UpdateRule":
-        return cls({(sign, tag): p for sign in (1, -1) for tag in DIRECTION_TAGS})
 
     @classmethod
     def post_z(cls, p: float) -> "UpdateRule":

@@ -21,10 +21,8 @@ from bellcheck.clifford import (
     Multivector,
     batch_product,
     dot,
-    dual,
     even_subalgebra_iso_check,
     geometric_product,
-    reverse,
     unit_vector,
     unit_vectors,
     wedge,
@@ -242,29 +240,29 @@ def test_wedge_antisymmetric_on_vectors(a, b):
 
 
 def test_dual_examples():
-    assert dual(I_BLADE) == ONE
-    assert dual(E_Z) == -E_XY
-    assert dual(dual(E_X)) == -E_X
+    assert I_BLADE.dual() == ONE
+    assert E_Z.dual() == -E_XY
+    assert E_X.dual().dual() == -E_X
 
 
 @given(multivectors)
 def test_dual_involution_is_negation(x):
-    assert (dual(dual(x)) + x).max_abs_coeff() <= 1e-12
+    assert (x.dual().dual() + x).max_abs_coeff() <= 1e-12
 
 
 # -- reverse -----------------------------------------------------------------
 
 
 def test_reverse_sign_rule():
-    assert reverse(E_XY) == -E_XY
-    assert reverse(I_BLADE) == -I_BLADE
-    assert reverse(ONE + E_X) == ONE + E_X
+    assert E_XY.reverse() == -E_XY
+    assert I_BLADE.reverse() == -I_BLADE
+    assert (ONE + E_X).reverse() == ONE + E_X
 
 
 @given(multivectors, multivectors)
 def test_reverse_antiautomorphism(x, y):
-    lhs = reverse(geometric_product(x, y))
-    rhs = geometric_product(reverse(y), reverse(x))
+    lhs = geometric_product(x, y).reverse()
+    rhs = geometric_product(y.reverse(), x.reverse())
     assert (lhs - rhs).max_abs_coeff() <= 1e-10
 
 
@@ -272,8 +270,8 @@ def test_reverse_antiautomorphism(x, y):
 
 
 def dual_wedge(a, b):
-    """dual(a ^ b) of two 3-vectors, checked to be a pure vector."""
-    via_duality = dual(wedge(Multivector.from_vector(a), Multivector.from_vector(b)))
+    """(a ^ b).dual() of two 3-vectors, checked to be a pure vector."""
+    via_duality = wedge(Multivector.from_vector(a), Multivector.from_vector(b)).dual()
     assert via_duality.grade(1) == via_duality
     return via_duality.coeffs[1:4]
 

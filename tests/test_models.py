@@ -365,17 +365,21 @@ def test_random_unit_vectors_are_unit(rng):
 
 
 def test_identity_rule_preserves_state(rng):
-    rule = UpdateRule.identity()
-    assert apply_update(rule, MU_PLUS, "z", rng) == MU_PLUS
+    rule = UpdateRule({(sign, tag): 0.0 for sign in (1, -1) for tag in ("z", "x")})
+    for mu in (MU_PLUS, MU_MINUS):
+        for tag in ("z", "x"):
+            assert apply_update(rule, mu, tag, rng) == mu
 
 
 def test_certain_flip(rng):
-    rule = UpdateRule.uniform(1.0)
+    rule = UpdateRule.post_z(1.0)
     assert apply_update(rule, MU_PLUS, "z", rng) == MU_MINUS
+    assert apply_update(rule, MU_MINUS, "z", rng) == MU_PLUS
+    assert apply_update(rule, MU_PLUS, "x", rng) == MU_PLUS
 
 
 def test_half_flip_fraction(rng):
-    rule = UpdateRule.uniform(0.5)
+    rule = UpdateRule.post_z(0.5)
     n = 100_000
     flips = sum(
         apply_update(rule, MU_PLUS, "z", rng) == MU_MINUS for _ in range(n))

@@ -166,7 +166,7 @@ def test_chsh_rejects_negative_samples():
 
 
 def test_sequential_clifford_identity_rule():
-    report = run_sequential("clifford", UpdateRule.identity())
+    report = run_sequential("clifford", UpdateRule.post_z(0.0))
     assert report.exact_results["P_zx"] == 1.0
     assert report.qm_reference["P_zx"] == pytest.approx(0.5, abs=1e-12)
     assert report.verdicts["P_zz_matches_qm"] is True
