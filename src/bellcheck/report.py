@@ -58,9 +58,9 @@ def _json_numbers(values: list[float]) -> list[str]:
 class Grid:
     """A block of report entries: one row per group label, one column per
     field.  Its keys are "<label>:<field>", point by point with the fields
-    in column order.  Labels hold no ":".  A column
-    is a list of values, a 1-D numpy array holding the values its tolist()
-    gives, or an (N, 8) coefficient array holding Multivectors."""
+    in column order.  Labels hold no ":".  A column is a list of values, a
+    1-D numpy array holding the values its tolist() gives, or an (N, 8)
+    coefficient array holding Multivectors."""
 
     labels: list[str]
     columns: dict
@@ -146,9 +146,9 @@ class Section(Mapping):
                     return block[key]
             elif grouped and field in block.columns and label in block.rows:
                 column, row = block.columns[field], block.rows[label]
-                if isinstance(column, np.ndarray):
-                    return Multivector(column[row].tolist()) if column.ndim == 2 else column[row].item()
-                return column[row]
+                if not isinstance(column, np.ndarray):
+                    return column[row]
+                return Multivector(column[row].tolist()) if column.ndim == 2 else column[row].item()
         raise KeyError(key)
 
     def __iter__(self) -> Iterator[str]:

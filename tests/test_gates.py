@@ -48,6 +48,7 @@ READ_BACK = {
         "epr-scan", "--mode", "anticorrelated", "--angles", "0:1e-3:2.5e-4"),
     "constraint-check-grid": ("constraint-check", "--angles=-3.2:3.2:0.4"),
     "constraint-check-near-parallel": ("constraint-check", "--angles", "0:6e-13:2e-13"),
+    "update-rule-search-1e-5": ("update-rule-search", "--grid-step", "1e-5"),
 }
 
 
@@ -55,6 +56,11 @@ READ_BACK = {
 def test_json_round_trip_keeps_every_format(name):
     report = _report(READ_BACK[name])
     back = _read_back(report)
+    # The JSON text gives every grid entry as a "<group>:<field>" key; the
+    # read-back report files runs of points in grids, not a block per point.
+    for section in ("exact_results", "qm_reference", "verdicts"):
+        assert len(getattr(back, section).blocks) == len(getattr(report, section).blocks)
+    assert list(back.expected.items()) == list(report.expected.items())
     assert back.to_json() == report.to_json()
     assert emit_csv(back) == emit_csv(report)
     assert (emit_table(back, back.gate_passed())
