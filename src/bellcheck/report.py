@@ -3,11 +3,11 @@
 A report section is a Section: an ordered list of blocks, each a dict of
 plain keys or a Grid of group labels and named columns, read as one dict
 whose keys run in block order.  A section is built once and never written
-to; _regroup files every "<group>:<field>" key of a block it is given in a
-Grid.  Grid runners fill whole columns from arrays, and the writers read
-the blocks as they are: each column is formatted once and the lines are
-zipped point by point, without building a dict of a section or a
-Multivector per row.
+to; _regroup files the "<group>:<field>" keys of a dict, or of a grid whose
+labels repeat, in Grids.  Grid runners fill whole columns from arrays,
+and the writers read the blocks as they are: each column is formatted
+once and the lines are zipped point by point, without building a dict of
+a section or a Multivector per row.
 """
 
 from __future__ import annotations
