@@ -14,7 +14,7 @@ Two families live here:
   hidden state is a unit vector lambda and the outcome is sign(a . lambda),
   optionally combined with a post-measurement redraw of lambda from the
   hemisphere centred on the measured direction.  Its samplers live here;
-  bellcheck.scenarios reads the signs off whole batches of lambdas.
+  bellcheck.scenarios reads the signs off streamed chunks of lambdas.
 
 All functions are pure; the randomized ones take an explicit numpy
 Generator so runs stay reproducible.
@@ -23,7 +23,7 @@ Generator so runs stay reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -196,6 +196,21 @@ def hemisphere_samples(n: Vec3, outcome: int, rng: np.random.Generator,
     wrong_side = (lams @ axis) * outcome < 0.0
     lams[wrong_side] = -lams[wrong_side]
     return lams
+
+
+CHUNK = 65_536  # most rows in one draw of lambda_chunks: 1.5 MB of float64
+
+
+def lambda_chunks(rng: np.random.Generator, size: int,
+                  pole: Vec3 | None = None) -> Iterator[np.ndarray]:
+    """`size` lambdas in consecutive (k, 3) chunks, k <= CHUNK, uniform on the
+    sphere, or on the hemisphere {pole.lam > 0} when a pole is given.  They
+    take the stream of one whole-batch draw, except that a near-zero-norm
+    normal triple is redrawn at the end of its chunk, not of the batch; the
+    streams differ only if one occurs, with probability about 3e-37 per sample."""
+    for start in range(0, size, CHUNK):
+        k = min(CHUNK, size - start)
+        yield random_unit_vectors(rng, k) if pole is None else hemisphere_samples(pole, 1, rng, k)
 
 
 # -- post-measurement update rules -------------------------------------------

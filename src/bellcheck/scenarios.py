@@ -39,10 +39,9 @@ from .models import (
     batch_constraint_check,
     batch_pair_product,
     expectation_over_mu,
-    hemisphere_samples,
+    lambda_chunks,
     meter_outcome,
     pair_product,
-    random_unit_vectors,
 )
 from .report import Grid, Section, _fmt_all, _grid_keys, _json_value
 
@@ -97,7 +96,7 @@ GATES = {
     ("constraint-check", None): {"commutator_zero": _parallel_pairs, "normalization_holds": False},
 }
 
-# Monte Carlo runners draw O(samples) memory, so the sample count is capped.
+# Monte Carlo runners stream their draws, so this cap bounds their run time.
 MAX_SAMPLES = 10_000_000
 # Fewest samples behind a Monte Carlo estimate; only chsh may draw none.
 MIN_MC_SAMPLES = 10_000
@@ -252,22 +251,11 @@ def _check_samples(samples: int, minimum: int) -> None:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}")
 
 
-def _proportion(flags: np.ndarray) -> McResult:
-    n = int(flags.size)
+def _proportion(hits: int, n: int) -> McResult:
     if n == 0:
         raise ValueError("no samples left after conditioning")
-    p = float(np.count_nonzero(flags)) / n
-    se = math.sqrt(p * (1.0 - p) / n)
-    return McResult(p, se, n)
-
-
-def _mean(values: np.ndarray) -> McResult:
-    n = int(values.size)
-    if n < 2:
-        raise ValueError("need at least two samples for a standard error")
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1)) / math.sqrt(n)
-    return McResult(est, se, n)
+    p = hits / n
+    return McResult(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +327,17 @@ def _algebraic_pair_expectation(ma: MeterModel, mb: MeterModel,
         lambda mu: pair_product(ma, mb, a, b, mu)).scalar_part
 
 
-def _static_sign_correlation(a: Vec3, b: Vec3, lams: np.ndarray) -> McResult:
-    """E[sign(a.lam) * (-sign(b.lam))] over a batch of shared lambdas."""
-    a_out = np.where(lams @ np.asarray(a) >= 0.0, 1, -1)
-    b_out = -np.where(lams @ np.asarray(b) >= 0.0, 1, -1)
-    return _mean((a_out * b_out).astype(float))
+def _static_sign_correlation(a: Vec3, b: Vec3, lams: np.ndarray) -> int:
+    """Rows of a chunk of shared lambdas where sign(a.lam) and sign(b.lam)
+    agree, so that the product sign(a.lam) * (-sign(b.lam)) reads -1."""
+    return int(np.count_nonzero((lams @ np.asarray(a) >= 0.0) == (lams @ np.asarray(b) >= 0.0)))
+
+
+def _sign_mean(agree: int, n: int) -> McResult:
+    """Mean and standard error of n products of +-1 readings, `agree` of them -1."""
+    if n < 2:
+        raise ValueError("need at least two samples for a standard error")
+    return McResult((n - 2 * agree) / n, math.sqrt(4 * agree * (n - agree) / (n - 1)) / n, n)
 
 
 def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
@@ -370,7 +364,8 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
                 "model_scalar_chsh_matches_qm": abs(model_chsh - qm) <= EXACT_TOL}
     if samples > 0:
         rng = np.random.default_rng(seed)
-        terms = {name: _static_sign_correlation(x, y, random_unit_vectors(rng, samples))
+        terms = {name: _sign_mean(sum(_static_sign_correlation(x, y, lams)
+                                      for lams in lambda_chunks(rng, samples)), samples)
                  for name, (x, y) in pairs.items()}
         mc.update((f"bell_static_{name}", term) for name, term in terms.items())
         s_est = quantum.chsh_combination(*(term.estimate for term in terms.values()))
@@ -395,32 +390,26 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
 
 
 def _sequential_qm_refs() -> dict[str, float]:
-    plus_z = quantum.ket_z(1)
-    seq = quantum.sequential_probabilities
-    p_z = seq(plus_z, [E_Z], [1])
-    p_zz = seq(plus_z, [E_Z, E_Z], [1, 1])
-    p_zx = seq(plus_z, [E_Z, E_X], [1, 1])
-    p_zxz = seq(plus_z, [E_Z, E_X, E_Z], [1, 1, 1])
-    return {
-        "P_zz": p_zz / p_z,
-        "P_zx": p_zx / p_z,
-        "P_zxz": p_zxz / p_zx,
-    }
+    def up(*axes: Vec3) -> float:  # P(up along each axis in turn | +z state)
+        return quantum.sequential_probabilities(quantum.ket_z(1), list(axes), [1] * len(axes))
+    return {"P_zz": up(E_Z, E_Z) / up(E_Z), "P_zx": up(E_Z, E_X) / up(E_Z),
+            "P_zxz": up(E_Z, E_X, E_Z) / up(E_Z, E_X)}
 
 
-def _static_posterior(lam0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Static lambdas left after a z-up reading, and after z-up then x-up."""
-    after_z = lam0[lam0[:, 2] >= 0.0]
-    return after_z, after_z[after_z[:, 0] >= 0.0]
+def _static_posterior(lam0: np.ndarray) -> tuple[int, int]:
+    """Rows of a chunk of static lambdas that read up along z, and of those
+    the rows that then read up along x, and so along z again."""
+    z_up = lam0[:, 2] >= 0.0
+    return int(np.count_nonzero(z_up)), int(np.count_nonzero(z_up & (lam0[:, 0] >= 0.0)))
 
 
-def _hemisphere_chain(lam0: np.ndarray,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Lambdas redrawn from the measured hemisphere after a z-up reading of
-    lam0, and again after an x-up reading of those."""
-    lam1 = hemisphere_samples(E_Z, 1, rng, int(np.count_nonzero(lam0[:, 2] >= 0.0)))
-    lam2 = hemisphere_samples(E_X, 1, rng, int(np.count_nonzero(lam1[:, 0] >= 0.0)))
-    return lam1, lam2
+def _redraw_counts(rng: np.random.Generator, z_up: int) -> tuple[int, int, int]:
+    """How many lam1, drawn around z after each of z_up z-up readings, read up along
+    z and along x, and how many lam2, drawn around x after each x-up lam1, along z."""
+    zz, zx = sum((np.count_nonzero(lam1[:, [2, 0]] >= 0.0, axis=0)
+                  for lam1 in lambda_chunks(rng, z_up, E_Z)), np.zeros(2, int)).tolist()
+    return zz, zx, sum(int(np.count_nonzero(lam2[:, 2] >= 0.0))
+                       for lam2 in lambda_chunks(rng, zx, E_X))
 
 
 def run_sequential(model: str = "clifford",
@@ -444,10 +433,7 @@ def run_sequential(model: str = "clifford",
         raise ValueError(f"model must be one of {SEQUENTIAL_MODELS}")
 
     qm_ref = _sequential_qm_refs()
-    exact: dict = {}
-    mc: dict[str, McResult] = {}
-    verdicts: dict[str, bool] = {}
-    parameters: dict = {"model": model}
+    exact, mc, verdicts, parameters = {}, {}, {}, {"model": model}
 
     if model == "clifford":
         if rule is None:
@@ -472,11 +458,10 @@ def run_sequential(model: str = "clifford",
     # while the third is pinned to 1.  The hemisphere redraw around each
     # measured axis restores the third to 1/2.
     exact.update(P_zz=1.0, P_zx=0.5, P_zxz=1.0 if static else 0.5)
-    lam0 = random_unit_vectors(rng, samples)
-    after_z, after_zx = _static_posterior(lam0) if static else _hemisphere_chain(lam0, rng)
-    mc["P_zz"] = _proportion(after_z[:, 2] >= 0.0)
-    mc["P_zx"] = _proportion(after_z[:, 0] >= 0.0)
-    mc["P_zxz"] = _proportion(after_zx[:, 2] >= 0.0)
+    z_up, zx_up = map(sum, zip(*map(_static_posterior, lambda_chunks(rng, samples))))
+    zz, zx, zxz = (z_up, zx_up, zx_up) if static else _redraw_counts(rng, z_up)
+    mc.update(P_zz=_proportion(zz, z_up), P_zx=_proportion(zx, z_up),
+              P_zxz=_proportion(zxz, zx))
 
     for name, m in mc.items():
         verdicts[f"{name}_matches_qm"] = abs(exact[name] - qm_ref[name]) <= EXACT_TOL
@@ -711,25 +696,26 @@ def run_bell_toy(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     rng = np.random.default_rng(seed)
 
     qm_third = _sequential_qm_refs()["P_zxz"]
-    exact = {
-        "hemisphere_mean_cos": 0.5,
-        "hemisphere_support": 1.0,
-        "hemisphere_mean_transverse": 0.0,
-        "static_third": 1.0,
-        "hemisphere_third": 0.5,
-    }
-    mc: dict[str, McResult] = {}
+    exact = {"hemisphere_mean_cos": 0.5, "hemisphere_support": 1.0,
+             "hemisphere_mean_transverse": 0.0, "static_third": 1.0, "hemisphere_third": 0.5}
 
-    lams = hemisphere_samples(E_Z, 1, rng, samples)
-    mc["hemisphere_mean_cos"] = _mean(lams[:, 2])
-    mc["hemisphere_support"] = _proportion(lams[:, 2] > 0.0)
-    mc["hemisphere_mean_transverse"] = _mean(lams[:, 0])
-
-    lam0 = random_unit_vectors(rng, samples)
-    mc["static_third"] = _proportion(_static_posterior(lam0)[1][:, 2] >= 0.0)
-    mc["hemisphere_third"] = _proportion(_hemisphere_chain(lam0, rng)[1][:, 2] >= 0.0)
-
-    static, hemisphere = mc["static_third"], mc["hemisphere_third"]
+    # Mean z and x components and their summed squared deviations m2, merged
+    # by the pairwise update of Chan, Golub & LeVeque, Amer. Statist. 37, 242 (1983).
+    n, means, m2, support = 0, 0.0, 0.0, 0
+    for lams in lambda_chunks(rng, samples, E_Z):
+        k, cols = len(lams), lams[:, [2, 0]]
+        delta = cols.mean(axis=0) - means
+        m2 = m2 + k * cols.var(axis=0) + delta ** 2 * (n * k / (n + k))
+        n, means = n + k, means + delta * (k / (n + k))
+        support += int(np.count_nonzero(lams[:, 2] > 0.0))
+    cos, transverse = (McResult(float(m), math.sqrt(s / (n - 1)) / math.sqrt(n), n)
+                       for m, s in zip(means, m2))
+    z_up, zx_up = map(sum, zip(*map(_static_posterior, lambda_chunks(rng, samples))))
+    _, zx, zxz = _redraw_counts(rng, z_up)
+    static, hemisphere = _proportion(zx_up, zx_up), _proportion(zxz, zx)
+    mc = {"hemisphere_mean_cos": cos, "hemisphere_support": _proportion(support, samples),
+          "hemisphere_mean_transverse": transverse, "static_third": static,
+          "hemisphere_third": hemisphere}
     return ScenarioReport(
         scenario_name="bell-toy",
         parameters={"samples": samples, "pole": "ez", "note": BELL_UPDATE_NOTE},
@@ -737,12 +723,11 @@ def run_bell_toy(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
         mc_results=mc,
         qm_reference={"P_third": qm_third},
         verdicts={
-            "hemisphere_mean_cos_ok": abs(mc["hemisphere_mean_cos"].estimate - 0.5) <= 0.01,
+            "hemisphere_mean_cos_ok": abs(cos.estimate - 0.5) <= 0.01,
             "hemisphere_support_ok": mc["hemisphere_support"].estimate == 1.0,
-            "hemisphere_transverse_ok": abs(mc["hemisphere_mean_transverse"].estimate) <= 0.01,
+            "hemisphere_transverse_ok": abs(transverse.estimate) <= 0.01,
             "static_third_is_one": static.estimate == 1.0,
-            "static_third_fails_qm":
-                abs(static.estimate - qm_third) > 3.0 * static.standard_error,
+            "static_third_fails_qm": abs(static.estimate - qm_third) > 3.0 * static.standard_error,
             "hemisphere_third_matches_qm":
                 abs(hemisphere.estimate - qm_third) <= 3.0 * hemisphere.standard_error,
         },

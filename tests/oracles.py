@@ -12,13 +12,19 @@ then laid out by the standard library's json.dumps.  `ref_emit_csv`,
 `ref_emit_table` and `ref_gate_passed` are the references for the CSV and
 table writers and the gate: they read the report's section dicts key by
 key, where the program reads its blocks column by column.
+
+`ref_mc_results` is the reference for the streamed Monte Carlo runners: it
+draws each batch of lambdas whole, in the order the runners draw their
+chunks, and takes proportions, means and standard errors of whole arrays.
 """
 
 import json
+import math
 
 import numpy as np
 
 from bellcheck.clifford import Multivector
+from bellcheck.models import hemisphere_samples, random_unit_vectors
 from bellcheck.report import Section
 from bellcheck.scenarios import GATES, INFO
 
@@ -252,3 +258,70 @@ def ref_emit_table(report) -> str:
         count = int(report.exact_results["consistent_assignments"])
         lines.append(f"consistent assignments: {count}")
     return "\n".join(lines) + "\n"
+
+
+# -- whole-batch Monte Carlo ------------------------------------------------
+
+_EZ, _EX = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
+
+
+def _proportion(flags):
+    n = int(flags.size)
+    p = float(np.count_nonzero(flags)) / n
+    return (p, math.sqrt(p * (1.0 - p) / n), n)
+
+
+def _mean(values):
+    n = int(values.size)
+    return (float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(n), n)
+
+
+def _sign_mean(a, b, lams):
+    a_out = np.where(lams @ np.asarray(a) >= 0.0, 1, -1)
+    b_out = -np.where(lams @ np.asarray(b) >= 0.0, 1, -1)
+    return _mean((a_out * b_out).astype(float))
+
+
+def _static_posterior(lam0):
+    after_z = lam0[lam0[:, 2] >= 0.0]
+    return after_z, after_z[after_z[:, 0] >= 0.0]
+
+
+def _hemisphere_chain(lam0, rng):
+    lam1 = hemisphere_samples(_EZ, 1, rng, int(np.count_nonzero(lam0[:, 2] >= 0.0)))
+    lam2 = hemisphere_samples(_EX, 1, rng, int(np.count_nonzero(lam1[:, 0] >= 0.0)))
+    return lam1, lam2
+
+
+def ref_mc_results(scenario: str, samples: int, seed: int) -> dict:
+    """name -> (estimate, standard_error, samples) of the Monte Carlo entries
+    of "chsh", "bell-static", "bell-hemisphere" or "bell-toy", each batch
+    drawn whole."""
+    rng = np.random.default_rng(seed)
+    if scenario == "chsh":
+        a, a2, b, b2 = ((math.sin(t), 0.0, math.cos(t))
+                        for t in (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4))
+        pairs = {"E_ab": (a, b), "E_ab2": (a, b2), "E_a2b": (a2, b), "E_a2b2": (a2, b2)}
+        out = {f"bell_static_{name}": _sign_mean(x, y, random_unit_vectors(rng, samples))
+               for name, (x, y) in pairs.items()}
+        e_ab, e_ab2, e_a2b, e_a2b2 = (out[f"bell_static_{name}"][0] for name in pairs)
+        s_se = math.sqrt(sum(se ** 2 for _, se, _ in out.values()))
+        out["bell_static_chsh"] = (abs(e_ab - e_ab2) + abs(e_a2b + e_a2b2), s_se, samples)
+        return out
+    if scenario in ("bell-static", "bell-hemisphere"):
+        lam0 = random_unit_vectors(rng, samples)
+        after_z, after_zx = (_static_posterior(lam0) if scenario == "bell-static"
+                             else _hemisphere_chain(lam0, rng))
+        return {"P_zz": _proportion(after_z[:, 2] >= 0.0),
+                "P_zx": _proportion(after_z[:, 0] >= 0.0),
+                "P_zxz": _proportion(after_zx[:, 2] >= 0.0)}
+    if scenario != "bell-toy":
+        raise ValueError(f"no Monte Carlo reference for {scenario!r}")
+    lams = hemisphere_samples(_EZ, 1, rng, samples)
+    out = {"hemisphere_mean_cos": _mean(lams[:, 2]),
+           "hemisphere_support": _proportion(lams[:, 2] > 0.0),
+           "hemisphere_mean_transverse": _mean(lams[:, 0])}
+    lam0 = random_unit_vectors(rng, samples)
+    out["static_third"] = _proportion(_static_posterior(lam0)[1][:, 2] >= 0.0)
+    out["hemisphere_third"] = _proportion(_hemisphere_chain(lam0, rng)[1][:, 2] >= 0.0)
+    return out

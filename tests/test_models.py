@@ -292,15 +292,28 @@ def test_batched_model_functions_reject_non_unit_directions():
 # -- Bell's scalar model -------------------------------------------------
 
 
-# Bell's observable sign(a.lambda) is read off whole batches of lambdas in
-# bellcheck.scenarios: by the static sign correlation, and by the static
-# posterior, which keeps the lambdas that read "up" along z, then along x.
+# Bell's observable sign(a.lambda) is read off each chunk of lambdas in
+# bellcheck.scenarios: by the static sign correlation, which counts the
+# lambdas whose two readings agree, and by the static posterior, which counts
+# the lambdas that read "up" along z, then along x.
 
 
 def sign_reading(a, lam):
     """sign(a.lam) through scenarios._static_sign_correlation: with b = lam,
-    the second meter reads -sign(lam.lam) = -1 on a batch of two copies."""
-    return -scenarios._static_sign_correlation(a, lam, np.array([lam, lam])).estimate
+    sign(b.lam) = +1, so the readings agree on a chunk of two copies exactly
+    when sign(a.lam) = +1, and disagree on both otherwise."""
+    agree = scenarios._static_sign_correlation(a, lam, np.array([lam, lam]))
+    assert agree in (0, 2)
+    return 1 if agree == 2 else -1
+
+
+def posterior_rows(lams):
+    """The rows that _static_posterior counts as z-up and as z-up then x-up,
+    found by reading each row as a chunk of its own."""
+    counts = [scenarios._static_posterior(lams[[i]]) for i in range(len(lams))]
+    assert all(z in (0, 1) and zx in (0, z) for z, zx in counts)
+    assert scenarios._static_posterior(lams) == tuple(map(sum, zip(*counts)))
+    return [i for i, (z, _) in enumerate(counts) if z], [i for i, (_, zx) in enumerate(counts) if zx]
 
 
 def test_bell_observable_examples():
@@ -309,9 +322,9 @@ def test_bell_observable_examples():
     assert sign_reading(EZ, (0.6, 0.0, -0.8)) == -1
     assert sign_reading(EX, (s, s, 0.0)) == 1
     lams = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, -0.8], [s, 0.0, s], [-s, 0.0, s]])
-    after_z, after_zx = scenarios._static_posterior(lams)
-    assert after_z.tolist() == lams[[0, 2, 3]].tolist()
-    assert after_zx.tolist() == lams[[0, 2]].tolist()  # x = 0 reads up
+    after_z, after_zx = posterior_rows(lams)
+    assert after_z == [0, 2, 3]
+    assert after_zx == [0, 2]  # x = 0 reads up
 
 
 def test_bell_observable_tie_resolves_positive():
@@ -319,8 +332,8 @@ def test_bell_observable_tie_resolves_positive():
     assert sign_reading(EZ, (1.0, 0.0, 0.0)) == 1
     assert sign_reading(EX, (0.0, 1.0, 0.0)) == 1
     lams = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-    after_z, after_zx = scenarios._static_posterior(lams)
-    assert after_z.tolist() == after_zx.tolist() == lams.tolist()
+    after_z, after_zx = posterior_rows(lams)
+    assert after_z == after_zx == [0, 1, 2]
 
 
 def test_bell_observable_odd_under_lambda_negation(rng):
@@ -334,9 +347,9 @@ def test_bell_observable_odd_under_lambda_negation(rng):
     # Off the measure-zero ties, a lambda reads up along z exactly when
     # its negation reads down.
     lams = random_unit_vectors(rng, 1_000)
-    up, down = (scenarios._static_posterior(x)[0] for x in (lams, -lams))
+    up, down = (posterior_rows(x)[0] for x in (lams, -lams))
     assert len(up) + len(down) == len(lams)
-    assert np.all(up[:, 2] > 0.0) and np.all(down[:, 2] > 0.0)
+    assert np.all(lams[up, 2] > 0.0) and np.all(-lams[down, 2] > 0.0)
 
 
 def test_hemisphere_marginals(rng):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ import oracles
 from bellcheck import scenarios
 from bellcheck.report import Grid, _grid_keys, _items, _json_number, emit_csv, emit_table
 from bellcheck.clifford import Multivector
-from bellcheck.models import MeterModel, UpdateRule
+from bellcheck.models import CHUNK, MeterModel, UpdateRule
 from bellcheck.scenarios import (
     McResult,
     ScenarioReport,
@@ -563,6 +564,55 @@ def test_block_writers_match_the_dict_path_reference(case):
                    oracles.ref_gate_passed(plain))
     assert report.expected == {name: want for name, want in zip(
         plain.verdicts, oracles.ref_designations(plain)) if want is not scenarios.INFO}
+
+
+# -- streamed Monte Carlo -------------------------------------------------
+
+MC_RUNNERS = {
+    "chsh": run_chsh,
+    "bell-static": lambda samples, seed: run_sequential("bell-static", None, samples, seed),
+    "bell-hemisphere": lambda samples, seed: run_sequential("bell-hemisphere", None, samples, seed),
+    "bell-toy": run_bell_toy,
+}
+PROPORTIONS = {"P_zz", "P_zx", "P_zxz", "hemisphere_support", "static_third", "hemisphere_third"}
+
+
+@pytest.mark.parametrize("samples", [scenarios.MIN_MC_SAMPLES, CHUNK - 1, CHUNK, CHUNK + 1,
+                                     3 * CHUNK + 5])
+@pytest.mark.parametrize("scenario", MC_RUNNERS)
+def test_streamed_mc_matches_whole_batch(scenario, samples):
+    # Proportions are counts over the same draws, so they match exactly;
+    # means and standard errors are summed in another order, so they match
+    # to the 12 significant digits that reports print.  A chsh term is a
+    # mean of +-1 products, exact in both.
+    for seed in (42, 17, 3):
+        got = MC_RUNNERS[scenario](samples, seed).mc_results
+        want = oracles.ref_mc_results(scenario, samples, seed)
+        assert list(got) == list(want)
+        for name, (estimate, standard_error, n) in want.items():
+            m = got[name]
+            assert m.samples == n, name
+            if name in PROPORTIONS:
+                assert (m.estimate, m.standard_error) == (estimate, standard_error), name
+                continue
+            if scenario == "chsh":
+                assert m.estimate == estimate, name
+            assert (f"{m.estimate:.12g}", f"{m.standard_error:.12g}") == (
+                f"{estimate:.12g}", f"{standard_error:.12g}"), name
+
+
+@pytest.mark.parametrize("scenario", MC_RUNNERS)
+def test_mc_memory_does_not_grow_with_samples(scenario):
+    peaks = []
+    for samples in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            MC_RUNNERS[scenario](samples, 42)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 16e6, peaks
+    assert abs(peaks[1] - peaks[0]) <= 4e6, peaks
 
 
 def test_gate_fails_when_expected_verdict_differs():
