@@ -18,11 +18,11 @@ Exit codes: 0 when every gated verdict holds (the documented behaviour,
 including the model failures the scenarios are built to demonstrate, was
 reproduced), 1 when some gated verdict differs, 2 for usage errors and
 invalid parameters (including non-finite angles, grids of more than
-1,000,000 points, --samples above 10,000,000 and running out of memory) and
-for internal errors, 3 when the output path cannot be written.  Identical
-invocations produce byte-identical output.  BELLCHECK_SEED overrides the
-default seed when --seed is absent.  Angles are radians; CSV is
-comma-separated, UTF-8, LF.
+1,000,000 points, --samples outside 10,000..10,000,000 other than chsh's 0,
+and running out of memory) and for internal errors, 3 when the output path
+cannot be written.  Identical invocations produce byte-identical output.
+BELLCHECK_SEED overrides the default seed when --seed is absent.  Angles
+are radians; CSV is comma-separated, UTF-8, LF.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ from typing import Callable, NamedTuple
 from . import scenarios
 from .models import UpdateRule
 from .report import emit_csv, emit_table
-from .scenarios import ScenarioReport, closed_grid
+from .scenarios import (DEFAULT_GRID_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, ScenarioReport,
+                        closed_grid)
 
 FORMATS = ("table", "json", "csv")
 
-DEFAULT_SAMPLES = 100_000
-DEFAULT_SEED = 42
 DEFAULT_ANGLES = (0.0, math.pi, math.pi / 36)
 DEFAULT_FLIP_PROB = 0.0
-DEFAULT_GRID_STEP = 0.01
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
 
@@ -65,19 +63,17 @@ class RunConfig:
 
 class Variant(NamedTuple):
     """One scenario/mode: the flags it reads besides --seed, --format and
-    --out, whether it draws Monte Carlo samples, and how a RunConfig maps
-    to its runner."""
+    --out, and how a RunConfig maps to its runner."""
 
     flags: tuple[str, ...]
-    monte_carlo: bool
     run: Callable[[RunConfig], ScenarioReport]
 
 
 _EPR_SCAN = Variant(
-    ("--angles", "--mode"), False,
+    ("--angles", "--mode"),
     lambda c: scenarios.run_epr_scan(closed_grid(*c.angles), c.mode))
 _BELL_SEQUENTIAL = Variant(
-    ("--mode", "--samples"), True,
+    ("--mode", "--samples"),
     lambda c: scenarios.run_sequential(c.mode, None, c.samples, c.seed))
 
 # (scenario, mode) -> Variant; mode is None for scenarios without --mode, and
@@ -87,21 +83,21 @@ REGISTRY: dict[tuple[str, str | None], Variant] = {
     ("epr-scan", "original"): _EPR_SCAN,
     ("epr-scan", "anticorrelated"): _EPR_SCAN,
     ("chsh", None): Variant(
-        ("--samples",), True, lambda c: scenarios.run_chsh(c.samples, c.seed)),
+        ("--samples",), lambda c: scenarios.run_chsh(c.samples, c.seed)),
     ("sequential", "clifford"): Variant(
-        ("--mode", "--flip-prob"), False, lambda c: scenarios.run_sequential(
+        ("--mode", "--flip-prob"), lambda c: scenarios.run_sequential(
             c.mode, UpdateRule.post_z(c.flip_prob), c.samples, c.seed)),
     ("sequential", "bell-static"): _BELL_SEQUENTIAL,
     ("sequential", "bell-hemisphere"): _BELL_SEQUENTIAL,
     ("three-particle", None): Variant(
-        (), False, lambda c: scenarios.run_three_particle_search()),
+        (), lambda c: scenarios.run_three_particle_search()),
     ("update-rule-search", None): Variant(
-        ("--grid-step",), False, lambda c: scenarios.search_update_rules(c.grid_step)),
+        ("--grid-step",), lambda c: scenarios.search_update_rules(c.grid_step)),
     ("constraint-check", None): Variant(
-        ("--angles",), False, lambda c: scenarios.run_constraint_check(
+        ("--angles",), lambda c: scenarios.run_constraint_check(
             [(scenarios.E_Z, scenarios._dir_xz(t)) for t in closed_grid(*c.angles)])),
     ("bell-toy", None): Variant(
-        ("--samples",), True, lambda c: scenarios.run_bell_toy(c.samples, c.seed)),
+        ("--samples",), lambda c: scenarios.run_bell_toy(c.samples, c.seed)),
 }
 
 
@@ -130,7 +126,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     run.add_argument("--samples", type=int, default=None,
                      help=f"Monte Carlo sample count (default {DEFAULT_SAMPLES})")
     run.add_argument("--seed", type=int, default=None,
-                     help="64-bit unsigned RNG seed (default 42, or "
+                     help=f"64-bit unsigned RNG seed (default {DEFAULT_SEED}, or "
                           f"${SEED_ENV_VAR} when set)")
     run.add_argument("--format", choices=FORMATS, default="table")
     run.add_argument("--angles", default=None, metavar="START:STOP:STEP",
@@ -189,14 +185,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         except ValueError as exc:
             run.error(f"--angles: {exc}")
 
-    samples = DEFAULT_SAMPLES if ns.samples is None else ns.samples
-    if variant.monte_carlo and ns.format != "table" and 0 < samples < scenarios.MIN_MC_SAMPLES:
-        run.error(f"--samples must be >= {scenarios.MIN_MC_SAMPLES} for Monte Carlo "
-                  "scenarios unless --format table")
-
     return RunConfig(
         scenario=ns.scenario,
-        samples=samples,
+        samples=DEFAULT_SAMPLES if ns.samples is None else ns.samples,
         seed=seed,
         format=ns.format,
         angles=angles,

@@ -82,8 +82,8 @@ def _parallel_pairs(parameters: Section, groups: list[str]) -> np.ndarray:
 # (scenario_name, parameters.get("model")) -> verdict -> the value it must take
 # for exit code 0, or INFO.  A grouped verdict "<group>:<field>" is listed by
 # its field, a plain one by its name; unlisted verdicts must be true.  A
-# callable maps (parameters, groups carrying the field) to one value per
-# group, each read from its own group.
+# callable maps (parameters, groups carrying the field, or [""] for a plain
+# verdict) to one value per group, each read from its own group.
 GATES = {
     ("sequential", "clifford"): {"P_zz_matches_qm": INFO, "P_zx_matches_qm": INFO},
     ("sequential", "bell-static"): {"P_zxz_matches_qm": False, "P_zxz_mc_matches_qm": False},
@@ -100,6 +100,10 @@ GATES = {
 MAX_SAMPLES = 10_000_000
 # Fewest samples behind a Monte Carlo estimate; only chsh may draw none.
 MIN_MC_SAMPLES = 10_000
+
+DEFAULT_SAMPLES = 100_000
+DEFAULT_SEED = 42
+DEFAULT_GRID_STEP = 0.01
 
 
 def _coeff_norms(coeffs: np.ndarray) -> np.ndarray:
@@ -184,11 +188,9 @@ class ScenarioReport:
             grid = isinstance(block, Grid)
             for field, values in (block.columns.items() if grid
                                   else ((key, [ok]) for key, ok in block.items())):
-                head, colon, name = field.rpartition(":")
-                want = gates.get(name, True)
+                want = gates.get(field, True)
                 if callable(want):
-                    want = want(self.parameters,
-                                [g + colon + head for g in block.labels] if grid else [head])
+                    want = want(self.parameters, block.labels if grid else [""])
                 yield block, field, values, want
 
     @property
@@ -242,13 +244,12 @@ class ScenarioReport:
         )
 
 
-def _check_samples(samples: int, minimum: int) -> None:
-    """Reject a sample count below `minimum` or above MAX_SAMPLES."""
-    if samples < minimum:
-        need = "stochastic models need samples" if minimum else "samples must be"
-        raise ValueError(f"{need} >= {minimum}")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be <= {MAX_SAMPLES}")
+def _check_samples(samples: int, zero_ok: bool = False) -> None:
+    """Reject a sample count outside MIN_MC_SAMPLES..MAX_SAMPLES, other than
+    0 where `zero_ok` (chsh, which then skips its Monte Carlo part)."""
+    if not (MIN_MC_SAMPLES <= samples <= MAX_SAMPLES or zero_ok and samples == 0):
+        raise ValueError(f"samples must be <= {MAX_SAMPLES} and >= {MIN_MC_SAMPLES} "
+                         "(chsh also takes 0)")
 
 
 def _proportion(hits: int, n: int) -> McResult:
@@ -335,12 +336,10 @@ def _static_sign_correlation(a: Vec3, b: Vec3, lams: np.ndarray) -> int:
 
 def _sign_mean(agree: int, n: int) -> McResult:
     """Mean and standard error of n products of +-1 readings, `agree` of them -1."""
-    if n < 2:
-        raise ValueError("need at least two samples for a standard error")
     return McResult((n - 2 * agree) / n, math.sqrt(4 * agree * (n - agree) / (n - 1)) / n, n)
 
 
-def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
+def run_chsh(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> ScenarioReport:
     """CHSH combination at a = 0, a' = 90deg, b = 45deg, b' = 135deg.
 
     Records the quantum value (2*sqrt(2)), the exactly enumerated scalar
@@ -348,7 +347,7 @@ def run_chsh(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     and a Monte Carlo CHSH for the static-lambda sign model, which as a
     local deterministic model must respect the bound 2.
     """
-    _check_samples(samples, 0)
+    _check_samples(samples, zero_ok=True)
     a, a2, b, b2 = (_dir_xz(t) for t in CHSH_ANGLES)
     pairs = {"E_ab": (a, b), "E_ab2": (a, b2), "E_a2b": (a2, b), "E_a2b2": (a2, b2)}
 
@@ -414,8 +413,8 @@ def _redraw_counts(rng: np.random.Generator, z_up: int) -> tuple[int, int, int]:
 
 def run_sequential(model: str = "clifford",
                    rule: UpdateRule | None = None,
-                   samples: int = 100_000,
-                   seed: int = 42) -> ScenarioReport:
+                   samples: int = DEFAULT_SAMPLES,
+                   seed: int = DEFAULT_SEED) -> ScenarioReport:
     """Repeated measurements z then {x or z} on one "up along z" particle.
 
     clifford: the hidden state after the first measurement is mu with the
@@ -448,7 +447,7 @@ def run_sequential(model: str = "clifford",
         qm_ref.pop("P_zxz")
         return ScenarioReport("sequential", parameters, exact, mc, qm_ref, verdicts, seed)
 
-    _check_samples(samples, MIN_MC_SAMPLES)
+    _check_samples(samples)
     parameters.update(samples=samples, note=BELL_UPDATE_NOTE)
     rng = np.random.default_rng(seed)
     static = model == "bell-static"
@@ -476,7 +475,7 @@ def run_sequential(model: str = "clifford",
 # ---------------------------------------------------------------------------
 
 
-def search_update_rules(grid_step: float = 0.01) -> ScenarioReport:
+def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     """Grid search over the flip probability applied after a z measurement.
 
     The particle leaves the first z measurement in the state mu = +I (the
@@ -652,8 +651,8 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
     a_dirs = unit_vectors([a for a, _ in pairs])
     b_dirs = unit_vectors([b for _, b in pairs])
     audit = batch_constraint_check(meter_a, meter_b, a_dirs, b_dirs)
-    # Multivector.is_zero(EXACT_TOL) row by row, on the commutator and on
-    # the square's residual from the scalar 1.
+    # Multivector.max_abs_coeff() <= EXACT_TOL row by row, on the commutator
+    # and on the square's residual from the scalar 1.
     commutes = np.all(np.abs(audit.commutator_avg) <= EXACT_TOL, axis=1)
     normalized_ok = np.all(np.abs(audit.square_avg - ONE.coeffs) <= EXACT_TOL, axis=1)
 
@@ -683,7 +682,7 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
 # ---------------------------------------------------------------------------
 
 
-def run_bell_toy(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
+def run_bell_toy(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> ScenarioReport:
     """Hemisphere-update postulate checks plus the third-measurement contrast.
 
     Validates the hemisphere sampler marginals (mean of n.lambda = 1/2 on
@@ -692,7 +691,7 @@ def run_bell_toy(samples: int = 100_000, seed: int = 42) -> ScenarioReport:
     the static posterior pins the answer to 1 while the redraw recovers the
     quantum 1/2.
     """
-    _check_samples(samples, MIN_MC_SAMPLES)
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
 
     qm_third = _sequential_qm_refs()["P_zxz"]

@@ -92,13 +92,26 @@ def test_oversized_angle_grid_is_refused_at_parse_time(capsys):
     assert "--angles: grid has more than 1000000 points" in capsys.readouterr().err
 
 
-def test_mc_scenarios_need_samples_for_machine_formats():
-    with pytest.raises(SystemExit) as err:
-        parse(["chsh", "--samples", "500", "--format", "json"])
-    assert err.value.code == 2
-    # table previews may be small, and exact-only runs are always fine
-    parse(["chsh", "--samples", "500"])
-    parse(["chsh", "--samples", "0", "--format", "json"])
+SAMPLE_DOMAIN_ERROR = ("bellcheck: error: samples must be <= 10000000 and >= 10000 "
+                       "(chsh also takes 0)\n")
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_mc_sample_domain_is_the_same_in_every_format(fmt, capsys):
+    refused = [["chsh", "--samples", n] for n in ("-1", "1", "2", "500", "9999")] + [
+        ["bell-toy", "--samples", "9999"],
+        ["sequential", "--mode", "bell-static", "--samples", "9999"],
+        ["sequential", "--mode", "bell-hemisphere", "--samples", "9999"],
+        ["bell-toy", "--samples", "0"],
+        ["chsh", "--samples", "10000001"],
+    ]
+    for args in refused:
+        assert exit_code([*args, "--format", fmt]) == 2, args
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", SAMPLE_DOMAIN_ERROR), args
+    # chsh alone may skip its Monte Carlo part
+    assert exit_code(["chsh", "--samples", "0", "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # The scenario flags each scenario/mode reads, as documented in the README.
