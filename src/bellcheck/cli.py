@@ -21,8 +21,9 @@ invalid parameters (including non-finite angles, grids of more than
 1,000,000 points, --samples outside 10,000..10,000,000 other than chsh's 0,
 and running out of memory) and for internal errors, 3 when the output path
 cannot be written.  Identical invocations produce byte-identical output.
-BELLCHECK_SEED overrides the default seed when --seed is absent.  Angles
-are radians; CSV is comma-separated, UTF-8, LF.
+BELLCHECK_SEED overrides the default seed when --seed is absent.  BLAS runs
+on one thread unless OPENBLAS_NUM_THREADS is set.  Angles are radians; CSV is
+comma-separated, UTF-8, LF.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+# Set before numpy is first imported: the only BLAS calls, (k, 3) @ (3,) and 4x4
+# products, are too small to use the thread pool OpenBLAS would start.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import scenarios
 from .models import UpdateRule
@@ -95,7 +100,7 @@ REGISTRY: dict[tuple[str, str | None], Variant] = {
         ("--grid-step",), lambda c: scenarios.search_update_rules(c.grid_step)),
     ("constraint-check", None): Variant(
         ("--angles",), lambda c: scenarios.run_constraint_check(
-            [(scenarios.E_Z, scenarios._dir_xz(t)) for t in closed_grid(*c.angles)])),
+            [(scenarios.E_Z, b) for b in scenarios._dirs_xz(closed_grid(*c.angles)).tolist()])),
     ("bell-toy", None): Variant(
         ("--samples",), lambda c: scenarios.run_bell_toy(c.samples, c.seed)),
 }

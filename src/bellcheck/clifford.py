@@ -257,12 +257,18 @@ def unit_vector(components: Sequence[float]) -> Vec3:
     return (x, y, z)
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Norm of each row of an (N, 3) array: the squares summed left to right,
+    as np.add.reduce sums a 3-wide row, so bit for bit np.linalg.norm(v, axis=1)."""
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+
+
 def unit_vectors(components) -> np.ndarray:
     """Batched `unit_vector`: the same norm test on each row of an (N, 3) array."""
     v = np.asarray(components, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) array of vectors, got shape {v.shape}")
-    norms = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+    norms = row_norms(v)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
     if bad.size:
         row = tuple(v[bad[0]].tolist())

@@ -32,6 +32,7 @@ from .clifford import (
     Vec3,
     batch_product,
     geometric_product,
+    row_norms,
     unit_vector,
     unit_vectors,
 )
@@ -177,12 +178,12 @@ def batch_constraint_check(meter_a: MeterModel, meter_b: MeterModel,
 def random_unit_vectors(rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, 3) array of directions uniform on the sphere."""
     draws = rng.normal(size=(size, 3))
-    norms = np.linalg.norm(draws, axis=1)
+    norms = row_norms(draws)
     while np.any(norms < 1e-12):
         bad = norms < 1e-12
         draws[bad] = rng.normal(size=(int(bad.sum()), 3))
-        norms = np.linalg.norm(draws, axis=1)
-    return draws / norms[:, None]
+        norms = row_norms(draws)
+    return np.divide(draws, norms[:, None], out=draws)
 
 
 def hemisphere_samples(n: Vec3, outcome: int, rng: np.random.Generator,
@@ -194,7 +195,7 @@ def hemisphere_samples(n: Vec3, outcome: int, rng: np.random.Generator,
     lams = random_unit_vectors(rng, size)
     axis = np.asarray(n)
     wrong_side = (lams @ axis) * outcome < 0.0
-    lams[wrong_side] = -lams[wrong_side]
+    np.negative(lams, out=lams, where=wrong_side[:, None])
     return lams
 
 

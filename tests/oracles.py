@@ -13,9 +13,14 @@ then laid out by the standard library's json.dumps.  `ref_emit_csv`,
 table writers and the gate: they read the report's section dicts key by
 key, where the program reads its blocks column by column.
 
+`ref_random_unit_vectors` and `ref_hemisphere_samples` are the references for
+the lambda samplers: np.linalg.norm of each normal triple, and the wrong
+side of the hemisphere flipped by a boolean gather and scatter.
+
 `ref_mc_results` is the reference for the streamed Monte Carlo runners: it
-draws each batch of lambdas whole, in the order the runners draw their
-chunks, and takes proportions, means and standard errors of whole arrays.
+draws each batch of lambdas whole with the reference samplers, in the order
+the runners draw their chunks, and takes proportions, means and standard
+errors of whole arrays.
 """
 
 import json
@@ -24,7 +29,6 @@ import math
 import numpy as np
 
 from bellcheck.clifford import Multivector
-from bellcheck.models import hemisphere_samples, random_unit_vectors
 from bellcheck.report import Section
 from bellcheck.scenarios import GATES, INFO
 
@@ -287,9 +291,26 @@ def _static_posterior(lam0):
     return after_z, after_z[after_z[:, 0] >= 0.0]
 
 
+def ref_random_unit_vectors(rng, size):
+    draws = rng.normal(size=(size, 3))
+    norms = np.linalg.norm(draws, axis=1)
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        draws[bad] = rng.normal(size=(int(bad.sum()), 3))
+        norms = np.linalg.norm(draws, axis=1)
+    return draws / norms[:, None]
+
+
+def ref_hemisphere_samples(n, outcome, rng, size):
+    lams = ref_random_unit_vectors(rng, size)
+    wrong_side = (lams @ np.asarray(n)) * outcome < 0.0
+    lams[wrong_side] = -lams[wrong_side]
+    return lams
+
+
 def _hemisphere_chain(lam0, rng):
-    lam1 = hemisphere_samples(_EZ, 1, rng, int(np.count_nonzero(lam0[:, 2] >= 0.0)))
-    lam2 = hemisphere_samples(_EX, 1, rng, int(np.count_nonzero(lam1[:, 0] >= 0.0)))
+    lam1 = ref_hemisphere_samples(_EZ, 1, rng, int(np.count_nonzero(lam0[:, 2] >= 0.0)))
+    lam2 = ref_hemisphere_samples(_EX, 1, rng, int(np.count_nonzero(lam1[:, 0] >= 0.0)))
     return lam1, lam2
 
 
@@ -302,14 +323,14 @@ def ref_mc_results(scenario: str, samples: int, seed: int) -> dict:
         a, a2, b, b2 = ((math.sin(t), 0.0, math.cos(t))
                         for t in (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4))
         pairs = {"E_ab": (a, b), "E_ab2": (a, b2), "E_a2b": (a2, b), "E_a2b2": (a2, b2)}
-        out = {f"bell_static_{name}": _sign_mean(x, y, random_unit_vectors(rng, samples))
+        out = {f"bell_static_{name}": _sign_mean(x, y, ref_random_unit_vectors(rng, samples))
                for name, (x, y) in pairs.items()}
         e_ab, e_ab2, e_a2b, e_a2b2 = (out[f"bell_static_{name}"][0] for name in pairs)
         s_se = math.sqrt(sum(se ** 2 for _, se, _ in out.values()))
         out["bell_static_chsh"] = (abs(e_ab - e_ab2) + abs(e_a2b + e_a2b2), s_se, samples)
         return out
     if scenario in ("bell-static", "bell-hemisphere"):
-        lam0 = random_unit_vectors(rng, samples)
+        lam0 = ref_random_unit_vectors(rng, samples)
         after_z, after_zx = (_static_posterior(lam0) if scenario == "bell-static"
                              else _hemisphere_chain(lam0, rng))
         return {"P_zz": _proportion(after_z[:, 2] >= 0.0),
@@ -317,11 +338,11 @@ def ref_mc_results(scenario: str, samples: int, seed: int) -> dict:
                 "P_zxz": _proportion(after_zx[:, 2] >= 0.0)}
     if scenario != "bell-toy":
         raise ValueError(f"no Monte Carlo reference for {scenario!r}")
-    lams = hemisphere_samples(_EZ, 1, rng, samples)
+    lams = ref_hemisphere_samples(_EZ, 1, rng, samples)
     out = {"hemisphere_mean_cos": _mean(lams[:, 2]),
            "hemisphere_support": _proportion(lams[:, 2] > 0.0),
            "hemisphere_mean_transverse": _mean(lams[:, 0])}
-    lam0 = random_unit_vectors(rng, samples)
+    lam0 = ref_random_unit_vectors(rng, samples)
     out["static_third"] = _proportion(_static_posterior(lam0)[1][:, 2] >= 0.0)
     out["hemisphere_third"] = _proportion(_hemisphere_chain(lam0, rng)[1][:, 2] >= 0.0)
     return out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellcheck import scenarios
-from bellcheck.clifford import Multivector
+from bellcheck.clifford import Multivector, row_norms
 from bellcheck.models import (
     FLIPPED,
     NATURAL,
@@ -372,6 +372,24 @@ def test_hemisphere_support_for_any_pole_and_outcome(rng):
 def test_random_unit_vectors_are_unit(rng):
     vs = random_unit_vectors(rng, 1_000)
     assert np.max(np.abs(np.linalg.norm(vs, axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+def test_row_norms_are_linalg_norm_bit_for_bit(scale):
+    rows = np.random.default_rng(2024).normal(size=(1_000_000, 3)) * scale
+    assert row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("seed", [42, 17, 3])
+def test_samplers_match_the_reference_bit_for_bit(seed):
+    def draws(sampler, *args):
+        return sampler(*args, np.random.default_rng(seed), 50_000).tobytes()
+
+    assert draws(random_unit_vectors) == draws(oracles.ref_random_unit_vectors)
+    for pole in (EZ, EX, (2 / 3, -1 / 3, 2 / 3)):
+        for outcome in (1, -1):
+            assert (draws(hemisphere_samples, pole, outcome)
+                    == draws(oracles.ref_hemisphere_samples, pole, outcome))
 
 
 # -- update rules ---------------------------------------------------------
