@@ -19,8 +19,10 @@ including the model failures the scenarios are built to demonstrate, was
 reproduced), 1 when some gated verdict differs, 2 for usage errors and
 invalid parameters (including non-finite angles, grids of more than
 1,000,000 points, --samples outside 10,000..10,000,000 other than chsh's 0,
-and running out of memory) and for internal errors, 3 when the output path
-cannot be written.  Identical invocations produce byte-identical output.
+and running out of memory) and for internal errors, 3 when the report cannot
+be written, to the --out path or to stdout (a full disk, or a reader such as
+`| head` that closes the pipe early).  Identical invocations produce
+byte-identical output.
 BELLCHECK_SEED overrides the default seed when --seed is absent.  BLAS runs
 on one thread unless OPENBLAS_NUM_THREADS is set.  Angles are radians; CSV is
 comma-separated, UTF-8, LF.
@@ -32,7 +34,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 # Set before numpy is first imported: the only BLAS calls, (k, 3) @ (3,) and 4x4
@@ -47,31 +48,20 @@ from .scenarios import (DEFAULT_GRID_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, Scenar
 
 FORMATS = ("table", "json", "csv")
 
-DEFAULT_ANGLES = (0.0, math.pi, math.pi / 36)
-DEFAULT_FLIP_PROB = 0.0
-
 SEED_ENV_VAR = "BELLCHECK_SEED"
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    samples: int
-    seed: int
-    format: str
-    angles: tuple[float, float, float]
-    out: str | None
-    mode: str | None
-    flip_prob: float
-    grid_step: float
+# The value of each flag left out; $BELLCHECK_SEED, when set, replaces the seed's.
+DEFAULTS = {"samples": DEFAULT_SAMPLES, "seed": DEFAULT_SEED,
+            "angles": (0.0, math.pi, math.pi / 36), "flip_prob": 0.0,
+            "grid_step": DEFAULT_GRID_STEP}
 
 
 class Variant(NamedTuple):
     """One scenario/mode: the flags it reads besides --seed, --format and
-    --out, and how a RunConfig maps to its runner."""
+    --out, and how the parsed arguments map to its runner."""
 
     flags: tuple[str, ...]
-    run: Callable[[RunConfig], ScenarioReport]
+    run: Callable[[argparse.Namespace], ScenarioReport]
 
 
 _EPR_SCAN = Variant(
@@ -119,7 +109,7 @@ def _parse_angles(text: str) -> tuple[float, float, float]:
     return (start, stop, step)
 
 
-def parse_args(argv: list[str]) -> RunConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="bellcheck",
         description="audit scenarios for Clifford-valued and scalar "
@@ -129,9 +119,9 @@ def parse_args(argv: list[str]) -> RunConfig:
     names = list(dict.fromkeys(name for name, _ in REGISTRY))
     run.add_argument("scenario", choices=names)
     run.add_argument("--samples", type=int, default=None,
-                     help=f"Monte Carlo sample count (default {DEFAULT_SAMPLES})")
+                     help=f"Monte Carlo sample count (default {DEFAULTS['samples']})")
     run.add_argument("--seed", type=int, default=None,
-                     help=f"64-bit unsigned RNG seed (default {DEFAULT_SEED}, or "
+                     help=f"64-bit unsigned RNG seed (default {DEFAULTS['seed']}, or "
                           f"${SEED_ENV_VAR} when set)")
     run.add_argument("--format", choices=FORMATS, default="table")
     run.add_argument("--angles", default=None, metavar="START:STOP:STEP",
@@ -142,10 +132,10 @@ def parse_args(argv: list[str]) -> RunConfig:
                      help=f"variant of {modes_help}; the first listed is the default")
     run.add_argument("--flip-prob", type=float, default=None,
                      help="post-z flip probability for sequential/clifford "
-                          f"(default {DEFAULT_FLIP_PROB})")
+                          f"(default {DEFAULTS['flip_prob']})")
     run.add_argument("--grid-step", type=float, default=None,
                      help="probability resolution for update-rule-search "
-                          f"(default {DEFAULT_GRID_STEP})")
+                          f"(default {DEFAULTS['grid_step']})")
     run.add_argument("--out", default=None, help="write the report here")
 
     # argparse reads "--angles -0.1:0:0.1" as two options; join them as
@@ -168,46 +158,33 @@ def parse_args(argv: list[str]) -> RunConfig:
         if getattr(ns, flag[2:].replace("-", "_")) is not None and flag not in variant.flags:
             run.error(f"{flag} is not read by {ns.scenario}"
                       + (f" --mode {mode}" if mode else ""))
+    ns.mode = mode
 
-    seed = ns.seed
-    if seed is None:
+    if ns.seed is None:
         env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                run.error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-        else:
-            seed = DEFAULT_SEED
-    if not 0 <= seed < 2 ** 64:
+        try:
+            ns.seed = DEFAULTS["seed"] if env is None else int(env)
+        except ValueError:
+            run.error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+    if not 0 <= ns.seed < 2 ** 64:
         run.error("--seed must fit in an unsigned 64-bit integer")
 
-    if ns.angles is None:
-        angles = DEFAULT_ANGLES
-    else:
+    if ns.angles is not None:
         try:
-            angles = _parse_angles(ns.angles)
+            ns.angles = _parse_angles(ns.angles)
         except ValueError as exc:
             run.error(f"--angles: {exc}")
-
-    return RunConfig(
-        scenario=ns.scenario,
-        samples=DEFAULT_SAMPLES if ns.samples is None else ns.samples,
-        seed=seed,
-        format=ns.format,
-        angles=angles,
-        out=ns.out,
-        mode=mode,
-        flip_prob=DEFAULT_FLIP_PROB if ns.flip_prob is None else ns.flip_prob,
-        grid_step=DEFAULT_GRID_STEP if ns.grid_step is None else ns.grid_step,
-    )
+    for name, value in DEFAULTS.items():
+        if getattr(ns, name) is None:
+            setattr(ns, name, value)
+    return ns
 
 
-def run_scenario(config: RunConfig) -> ScenarioReport:
+def run_scenario(config: argparse.Namespace) -> ScenarioReport:
     return REGISTRY[config.scenario, config.mode].run(config)
 
 
-def emit_report(report: ScenarioReport, config: RunConfig, passed: bool) -> str:
+def emit_report(report: ScenarioReport, config: argparse.Namespace, passed: bool) -> str:
     if config.format == "json":
         return report.to_json()
     if config.format == "csv":
@@ -232,15 +209,28 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bellcheck: error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
-    if config.out is not None:
-        try:
-            with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"bellcheck: cannot write {config.out!r}: {exc}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(text)
+    data = text.encode("utf-8")
+    try:
+        if config.out is None:
+            # Under python -u the binary layer is a raw file, whose write may
+            # take only part of the data (a pipe closed mid-write): loop.
+            view = memoryview(data)
+            while view:
+                view = view[sys.stdout.buffer.write(view):]
+            sys.stdout.buffer.flush()
+        else:
+            with open(config.out, "wb") as handle:
+                handle.write(data)
+    except OSError as exc:
+        if config.out is None:
+            # As Python's signal docs advise for a closed pipe: point stdout at
+            # devnull, so that the flush at interpreter exit cannot fail too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        target = "<stdout>" if config.out is None else repr(config.out)
+        print(f"bellcheck: cannot write {target}: {exc}", file=sys.stderr)
+        return 3
     return 0 if passed else 1
 
 

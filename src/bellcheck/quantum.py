@@ -15,8 +15,6 @@ import numpy as np
 
 from .clifford import unit_vectors
 
-Vec3 = tuple[float, float, float]
-
 STATE_TOL = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -19,7 +19,6 @@ verdict blocks column by column.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -29,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import quantum
-from .clifford import GRADES, ONE, Vec3, unit_vectors
+from .clifford import GRADES, ONE, Vec3, row_norms, unit_vectors
 from .models import (
     FLIPPED,
     NATURAL,
@@ -104,12 +103,6 @@ MIN_MC_SAMPLES = 10_000
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 42
 DEFAULT_GRID_STEP = 0.01
-
-
-def _coeff_norms(coeffs: np.ndarray) -> np.ndarray:
-    """Multivector(row).coeff_norm() of each row of an (N, 8) coefficient
-    array: the squares summed left to right, then the square root."""
-    return np.sqrt(functools.reduce(np.add, (coeffs * coeffs).T))
 
 
 def _dirs_xz(angles: Sequence[float]) -> np.ndarray:
@@ -310,7 +303,7 @@ def run_epr_scan(angle_grid: Sequence[float],
             "angles": [float(t) for t in angle_grid],
         },
         exact_results=[Grid(groups, {"model_scalar": scalars, "model_bivector": bivector_rows,
-                                     "bivector_norm": _coeff_norms(bivector_rows)})],
+                                     "bivector_norm": row_norms(bivector_rows)})],
         qm_reference=[Grid(groups, {"qm": qm_values})],
         verdicts=[Grid(groups, {verdict: oks}), {"all_points_as_predicted": bool(oks.all())}],
     )
@@ -668,7 +661,7 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
         parameters=[{"meter_a_def_sign": meter_a.def_sign, "meter_b_def_sign": meter_b.def_sign,
                      "n_pairs": len(pairs)}, dict(zip(groups, pair_texts))],
         exact_results=[Grid(groups, {"commutator": audit.commutator_avg,
-                                     "commutator_norm": _coeff_norms(audit.commutator_avg),
+                                     "commutator_norm": row_norms(audit.commutator_avg),
                                      "square": audit.square_avg,
                                      "square_scalar": audit.square_avg[:, 0]}),
                        {"commutator_violations": int(np.count_nonzero(~commutes)),

@@ -1,9 +1,14 @@
+import contextlib
+import errno
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import bellcheck
 from bellcheck import cli, scenarios
 from bellcheck.report import emit_csv
 from bellcheck.scenarios import McResult, ScenarioReport, closed_grid
@@ -304,6 +309,58 @@ def test_unwritable_out_path_exits_3(tmp_path):
     code = cli.main(["run", "chsh", "--samples", "0", "--format", "json",
                      "--out", str(target)])
     assert code == 3
+
+
+class _FullStdout:
+    """A stdout on a real descriptor whose every write fails as on a full disk;
+    it is its own binary layer."""
+
+    def __init__(self, fileno):
+        self.fileno = fileno
+        self.buffer = self
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_failed_stdout_write_exits_3(tmp_path, capsys):
+    with open(tmp_path / "stdout", "wb") as handle:
+        with contextlib.redirect_stdout(_FullStdout(handle.fileno)):
+            assert cli.main(["run", "three-particle"]) == 3
+        # The failed descriptor now points at devnull, so a late flush is lost.
+        os.write(handle.fileno(), b"late")
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == (
+        "bellcheck: cannot write <stdout>: [Errno 28] No space left on device\n")
+
+
+def _bellcheck(*args, **popen):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bellcheck.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "bellcheck.cli", "run", *args],
+                            env=env, stderr=subprocess.PIPE, **popen)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_3():
+    with open("/dev/full", "wb") as full:
+        proc = _bellcheck("sequential", stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert err == b"bellcheck: cannot write <stdout>: [Errno 28] No space left on device\n"
+
+
+def test_stdout_pipe_closed_after_the_first_bytes_exits_3():
+    # 282 KB of CSV, more than a pipe buffer holds, so the writer meets the closed end.
+    proc = _bellcheck("epr-scan", "--angles", "0:3.14159:0.001", "--format", "csv",
+                      stdout=subprocess.PIPE)
+    assert proc.stdout.read(64).startswith(b"point,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 3
+    assert err == b"bellcheck: cannot write <stdout>: [Errno 32] Broken pipe\n"
 
 
 def test_runtime_value_errors_exit_2(capsys):

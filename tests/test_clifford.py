@@ -305,10 +305,10 @@ def test_quaternion_product_table_exact():
 
 
 def test_iso_check_passes_and_detects_swapped_images():
-    assert even_subalgebra_iso_check(200) is True
+    assert even_subalgebra_iso_check() is True
     swapped = dict(QUATERNION_IMAGES)
     swapped["j"], swapped["k"] = swapped["k"], swapped["j"]
-    assert even_subalgebra_iso_check(10, images=swapped) is False
+    assert even_subalgebra_iso_check(images=swapped) is False
 
 
 def _rotated(images, angle):
@@ -320,29 +320,24 @@ def test_iso_check_controls():
     for a, b in (("i", "j"), ("j", "k"), ("i", "k")):
         transposed = dict(QUATERNION_IMAGES)
         transposed[a], transposed[b] = transposed[b], transposed[a]
-        assert even_subalgebra_iso_check(10, images=transposed) is False
+        assert even_subalgebra_iso_check(images=transposed) is False
     for name in ("i", "j", "k"):
         negated = dict(QUATERNION_IMAGES)
         negated[name] = -negated[name]
-        assert even_subalgebra_iso_check(10, images=negated) is False
+        assert even_subalgebra_iso_check(images=negated) is False
     # all three negated: the plain cyclic bivectors, an anti-isomorphism
     plain = {name: -image for name, image in QUATERNION_IMAGES.items()}
     assert plain == {"i": E_YZ, "j": E_ZX, "k": E_XY}
-    assert even_subalgebra_iso_check(10, images=plain) is False
+    assert even_subalgebra_iso_check(images=plain) is False
     # a rotated isomorphism, whose images are not +-single blades
     rotated = _rotated(QUATERNION_IMAGES, 0.35)
     assert sum(c != 0.0 for c in rotated["i"].coeffs) == 2
-    assert even_subalgebra_iso_check(200, images=rotated) is True
-    assert even_subalgebra_iso_check(10, images=_rotated(plain, 0.35)) is False
+    assert even_subalgebra_iso_check(images=rotated) is True
+    assert even_subalgebra_iso_check(images=_rotated(plain, 0.35)) is False
 
 
-def test_iso_check_rejects_bad_sample_count():
-    with pytest.raises(ValueError):
-        even_subalgebra_iso_check(0)
-
-
-def test_iso_check_takes_samples_and_images_only():
-    assert list(inspect.signature(even_subalgebra_iso_check).parameters) == ["samples", "images"]
+def test_iso_check_takes_images_only():
+    assert list(inspect.signature(even_subalgebra_iso_check).parameters) == ["images"]
 
 
 # -- vectors and rendering ---------------------------------------------------

@@ -376,8 +376,12 @@ def test_random_unit_vectors_are_unit(rng):
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
 def test_row_norms_are_linalg_norm_bit_for_bit(scale):
-    rows = np.random.default_rng(2024).normal(size=(1_000_000, 3)) * scale
+    rng = np.random.default_rng(2024)
+    rows = rng.normal(size=(1_000_000, 3)) * scale
     assert row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+    coeffs = rng.normal(size=(10_000, 8)) * scale
+    want = [Multivector(row).coeff_norm() for row in coeffs.tolist()]
+    assert row_norms(coeffs).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("seed", [42, 17, 3])
