@@ -90,7 +90,7 @@ REGISTRY: dict[tuple[str, str | None], Variant] = {
         ("--grid-step",), lambda c: scenarios.search_update_rules(c.grid_step)),
     ("constraint-check", None): Variant(
         ("--angles",), lambda c: scenarios.run_constraint_check(
-            [(scenarios.E_Z, b) for b in scenarios._dirs_xz(closed_grid(*c.angles)).tolist()])),
+            scenarios.xz_scan(closed_grid(*c.angles)))),
     ("bell-toy", None): Variant(
         ("--samples",), lambda c: scenarios.run_bell_toy(c.samples, c.seed)),
 }

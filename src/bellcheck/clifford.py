@@ -12,9 +12,10 @@ cyclic bivector ordering is chosen so that multiplication by I carries
 ex -> ey ez, ey -> ez ex, ez -> ex ey without extra signs.
 
 Products are driven by one table of (i, j, k, sign) terms built once from
-integer blade arithmetic, with the inner and outer products as grade masks
-on it.  `batch_product` applies the same terms in the same order to (N, 8)
-coefficient arrays, so a grid is one pass with the scalar loop's sums.
+integer blade arithmetic, with the inner and outer products as grade
+predicates on it.  `batch_product` applies the same terms in the same order
+to (N, 8) coefficient arrays, so a grid is one pass with the scalar loop's
+sums.
 """
 
 from __future__ import annotations
@@ -56,33 +57,28 @@ def _sort_with_sign(indices: list[int]) -> tuple[tuple[int, ...], int]:
     return tuple(work), sign
 
 
-def _build_product_table() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    canon_to_basis: dict[tuple[int, ...], tuple[int, int]] = {}
-    for idx, blade in enumerate(_BLADES):
-        canon, sign = _sort_with_sign(list(blade))
-        # e_blade = sign * e_canon, hence e_canon = sign * e_blade.
-        canon_to_basis[canon] = (idx, sign)
-    rows = [[_sort_with_sign(list(bi) + list(bj)) for bj in _BLADES] for bi in _BLADES]
-    index = tuple(tuple(canon_to_basis[canon][0] for canon, _ in row) for row in rows)
-    sign = tuple(tuple(s * canon_to_basis[canon][1] for canon, s in row) for row in rows)
-    return index, sign
+def _product_terms() -> tuple[tuple[int, int, int, int], ...]:
+    """The product table: one (i, j, k, sign) term per blade pair, e_i e_j = sign e_k."""
+    # e_blade = sign * e_canon for each stored blade, hence e_canon = sign * e_blade.
+    basis = {canon: (k, sign) for k, (canon, sign) in
+             enumerate(_sort_with_sign(list(blade)) for blade in _BLADES)}
+    terms = []
+    for i, bi in enumerate(_BLADES):
+        for j, bj in enumerate(_BLADES):
+            canon, sign = _sort_with_sign(list(bi + bj))
+            terms.append((i, j, basis[canon][0], sign * basis[canon][1]))
+    return tuple(terms)
 
 
-PRODUCT_INDEX, PRODUCT_SIGN = _build_product_table()
-
-# The same table as one (i, j, k, sign) term per blade pair, e_i e_j = sign e_k.
-PRODUCT_TERMS = tuple((i, j, PRODUCT_INDEX[i][j], PRODUCT_SIGN[i][j])
-                      for i in range(8) for j in range(8))
+PRODUCT_TERMS = _product_terms()
 
 # The terms each product keeps, by the grades r, s of the factors and the
-# grade of the result: all of them, grade |r - s| (inner) or r + s (outer).
-GRADE_MASKS = {
-    "geometric": (True,) * len(PRODUCT_TERMS),
-    "dot": tuple(GRADES[k] == abs(GRADES[i] - GRADES[j]) for i, j, k, _ in PRODUCT_TERMS),
-    "wedge": tuple(GRADES[k] == GRADES[i] + GRADES[j] for i, j, k, _ in PRODUCT_TERMS),
-}
-_TERMS = {name: tuple(t for t, keep in zip(PRODUCT_TERMS, mask) if keep)
-          for name, mask in GRADE_MASKS.items()}
+# grade g of the result: all of them, g == |r - s| (inner) or g == r + s (outer).
+_TERMS = {name: tuple((i, j, k, sign) for i, j, k, sign in PRODUCT_TERMS
+                      if keep(GRADES[i], GRADES[j], GRADES[k]))
+          for name, keep in (("geometric", lambda r, s, g: True),
+                             ("dot", lambda r, s, g: g == abs(r - s)),
+                             ("wedge", lambda r, s, g: g == r + s))}
 
 
 @dataclass(frozen=True)

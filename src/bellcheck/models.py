@@ -158,18 +158,19 @@ def constraint_check(meter_a: MeterModel, meter_b: MeterModel,
 def batch_constraint_check(meter_a: MeterModel, meter_b: MeterModel,
                            a, b) -> ConstraintAverages:
     """Commutator and square averages for each row pair of two (N, 3)
-    direction arrays, as (N, 8) coefficients."""
-    def commutator(mu: HiddenState) -> np.ndarray:
-        av = batch_observable_value(meter_a, a, mu)
-        bv = batch_observable_value(meter_b, b, mu)
-        return batch_product(av, bv) - batch_product(bv, av)
+    direction arrays, as (N, 8) coefficients.  Each meter is read once per
+    mu, and both averages are `expectation_over_mu`'s, summed in place."""
+    def products(mu: HiddenState) -> tuple[np.ndarray, np.ndarray]:
+        av, bv = batch_observable_value(meter_a, a, mu), batch_observable_value(meter_b, b, mu)
+        commutator = batch_product(av, bv)
+        commutator -= batch_product(bv, av)
+        return commutator, batch_product(av, av)
 
-    def square(mu: HiddenState) -> np.ndarray:
-        av = batch_observable_value(meter_a, a, mu)
-        return batch_product(av, av)
-
-    return ConstraintAverages(commutator_avg=expectation_over_mu(commutator),
-                              square_avg=expectation_over_mu(square))
+    averages = products(MU_PLUS)
+    for total, term in zip(averages, products(MU_MINUS)):
+        total += term
+        total /= 2.0
+    return ConstraintAverages(*averages)
 
 
 # -- Bell's scalar toy model -------------------------------------------------

@@ -145,10 +145,8 @@ class Section(Mapping):
                 if key in block:
                     return block[key]
             elif grouped and field in block.columns and label in block.rows:
-                column, row = block.columns[field], block.rows[label]
-                if not isinstance(column, np.ndarray):
-                    return column[row]
-                return Multivector(column[row].tolist()) if column.ndim == 2 else column[row].item()
+                row = block.rows[label]
+                return _values(block.columns[field][row:row + 1])[0]
         raise KeyError(key)
 
     def __iter__(self) -> Iterator[str]:

@@ -105,12 +105,16 @@ DEFAULT_SEED = 42
 DEFAULT_GRID_STEP = 0.01
 
 
-def _dirs_xz(angles: Sequence[float]) -> np.ndarray:
-    """(N, 3) unit vectors, row k at angle angles[k] from e_z toward e_x in
-    the x-z plane, from the libm sin and cos of each angle."""
+def xz_scan(angles: Sequence[float]) -> np.ndarray:
+    """(N, 2, 3) direction pairs, row k (e_z, b) with b at angles[k] from e_z
+    toward e_x in the x-z plane, from the libm sin and cos of each angle:
+    the scan geometry of epr-scan, constraint-check and the CHSH angles."""
     n = len(angles)
-    sines, cosines = (np.fromiter(map(f, angles), float, n) for f in (math.sin, math.cos))
-    return np.column_stack([sines, np.zeros(n), cosines])
+    pairs = np.zeros((n, 2, 3))
+    pairs[:, 0] = E_Z
+    pairs[:, 1, 0], pairs[:, 1, 2] = (np.fromiter(map(f, angles), float, n)
+                                      for f in (math.sin, math.cos))
+    return pairs
 
 
 # Grids are computed in one batched pass, so their size is capped up front.
@@ -279,8 +283,7 @@ def run_epr_scan(angle_grid: Sequence[float],
     meter_a = MeterModel()
     meter_b = MeterModel(def_sign=1 if meter_b_mode == "original" else -1)
 
-    a_dirs = np.tile(E_Z, (len(angle_grid), 1))
-    b_dirs = _dirs_xz(angle_grid)
+    a_dirs, b_dirs = xz_scan(angle_grid).transpose(1, 0, 2)
     averaged_rows = expectation_over_mu(
         lambda mu: batch_pair_product(meter_a, meter_b, a_dirs, b_dirs, mu))
     # Multivector.grade(2), row by row.
@@ -343,7 +346,7 @@ def run_chsh(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> Scenar
     local deterministic model must respect the bound 2.
     """
     _check_samples(samples, zero_ok=True)
-    a, a2, b, b2 = map(tuple, _dirs_xz(CHSH_ANGLES).tolist())
+    a, a2, b, b2 = map(tuple, xz_scan(CHSH_ANGLES)[:, 1].tolist())
     pairs = {"E_ab": (a, b), "E_ab2": (a, b2), "E_a2b": (a2, b), "E_a2b2": (a2, b2)}
 
     qm = quantum.chsh_value(a, a2, b, b2)
@@ -629,23 +632,23 @@ def run_three_particle_search() -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
-                         meter_a: MeterModel = MeterModel(),
-                         meter_b: MeterModel = MeterModel()) -> ScenarioReport:
-    """Exact commutator and square averages for each direction pair.
+def run_constraint_check(direction_pairs) -> ScenarioReport:
+    """Exact commutator and square averages of the MeterModel() reading for
+    each (a, b) direction pair, given as a sequence or an (N, 2, 3) array.
 
     A viable model needs a vanishing averaged commutator for all pairs and
     a squared observable averaging to +1; here the commutator misses for
     every non-parallel pair and the square averages to the scalar -1
     always, both recorded as data.
     """
-    pairs = list(direction_pairs)
-    if not pairs:
+    pairs = np.asarray(direction_pairs, dtype=float)
+    if not pairs.size:
         raise ValueError("need at least one direction pair")
+    if pairs.shape[1:] != (2, 3):
+        raise ValueError(f"expected an (N, 2, 3) array of direction pairs, got shape {pairs.shape}")
 
-    a_dirs = unit_vectors([a for a, _ in pairs])
-    b_dirs = unit_vectors([b for _, b in pairs])
-    audit = batch_constraint_check(meter_a, meter_b, a_dirs, b_dirs)
+    meter = MeterModel()
+    audit = batch_constraint_check(meter, meter, *map(unit_vectors, pairs.transpose(1, 0, 2)))
     # Multivector.max_abs_coeff() <= EXACT_TOL row by row, on the commutator
     # and on the square's residual from the scalar 1.
     commutes = np.all(np.abs(audit.commutator_avg) <= EXACT_TOL, axis=1)
@@ -654,11 +657,11 @@ def run_constraint_check(direction_pairs: Sequence[tuple[Vec3, Vec3]],
     groups = [f"pair[{i}]" for i in range(len(pairs))]
     # "%.12g" % x is the _fmt text of x
     pair_texts = ["a=(%.12g; %.12g; %.12g) b=(%.12g; %.12g; %.12g)" % tuple(row)
-                  for row in np.hstack([a_dirs, b_dirs]).tolist()]
+                  for row in pairs.reshape(-1, 6).tolist()]
     normalization_violations = int(np.count_nonzero(~normalized_ok))
     return ScenarioReport(
         scenario_name="constraint-check",
-        parameters=[{"meter_a_def_sign": meter_a.def_sign, "meter_b_def_sign": meter_b.def_sign,
+        parameters=[{"meter_a_def_sign": meter.def_sign, "meter_b_def_sign": meter.def_sign,
                      "n_pairs": len(pairs)}, dict(zip(groups, pair_texts))],
         exact_results=[Grid(groups, {"commutator": audit.commutator_avg,
                                      "commutator_norm": row_norms(audit.commutator_avg),

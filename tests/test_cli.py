@@ -74,7 +74,7 @@ def test_non_finite_angles_exit_2(slot, value):
     ["--angles", "-0.1:0.1:0.1"], ["--angles=-0.1:0.1:0.1"], ["--ang", "-0.1:0.1:0.1"]])
 def test_negative_angle_start(angles, capsys):
     assert cli.main(["run", "constraint-check", *angles, "--format", "csv"]) == 0
-    pairs = [(scenarios.E_Z, b) for b in scenarios._dirs_xz(closed_grid(-0.1, 0.1, 0.1))]
+    pairs = scenarios.xz_scan(closed_grid(-0.1, 0.1, 0.1))
     assert capsys.readouterr().out == emit_csv(scenarios.run_constraint_check(pairs))
 
 

@@ -16,8 +16,7 @@ from bellcheck.clifford import (
     GRADES,
     I_BLADE,
     ONE,
-    PRODUCT_INDEX,
-    PRODUCT_SIGN,
+    PRODUCT_TERMS,
     QUATERNION_IMAGES,
     Multivector,
     batch_product,
@@ -81,10 +80,9 @@ def test_product_table_matches_matrix_representation():
 
 
 def test_table_entries_are_unit_signs():
-    for row in PRODUCT_SIGN:
-        assert set(row) <= {1, -1}
-    for row in PRODUCT_INDEX:
-        assert sorted(row) == list(range(8))
+    assert {sign for _, _, _, sign in PRODUCT_TERMS} <= {1, -1}
+    for i in range(8):
+        assert sorted(k for row, _, k, _ in PRODUCT_TERMS if row == i) == list(range(8))
 
 
 @given(multivectors, multivectors, multivectors)

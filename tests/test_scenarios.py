@@ -333,9 +333,35 @@ def test_constraint_check_over_angle_grid():
     assert report.gate_passed()
 
 
-def test_constraint_check_requires_pairs():
+@pytest.mark.parametrize("pairs", [
+    [],
+    np.ones((2, 3)),
+    np.ones((2, 2, 2)),
+    [(EZ, EZ), (EZ, (1.0, 0.0, 1.0))],
+    [(EZ, (0.0, 0.0, math.nan))],
+], ids=["empty", "n-by-3", "n-by-2-by-2", "non-unit-b", "nan"])
+def test_constraint_check_requires_pairs(pairs):
     with pytest.raises(ValueError):
-        run_constraint_check([])
+        run_constraint_check(pairs)
+
+
+def _dirs_xz(angles):
+    """Reference for xz_scan's b half: the libm sin and cos of each angle,
+    column-stacked around a zero y column."""
+    sines, cosines = (np.fromiter(map(f, angles), float) for f in (math.sin, math.cos))
+    return np.column_stack([sines, np.zeros(len(angles)), cosines])
+
+
+def test_constraint_check_takes_pairs_or_an_array():
+    pairs = [(EZ, b) for b in _dirs_xz(GRID_37).tolist()]
+    assert run_constraint_check(pairs).to_json() == run_constraint_check(np.array(pairs)).to_json()
+
+
+def test_xz_scan_is_ez_with_the_dirs_xz_rows():
+    want = np.array([(scenarios.E_Z, b) for b in _dirs_xz(GRID_37).tolist()])
+    got = scenarios.xz_scan(GRID_37)
+    assert got.shape == (37, 2, 3)
+    assert got.tobytes() == want.tobytes()
 
 
 # -- Bell toy model -----------------------------------------------------
