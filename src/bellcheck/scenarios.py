@@ -31,8 +31,9 @@ from . import quantum
 from .clifford import GRADES, ONE, Vec3, row_norms, unit_vectors
 from .models import (
     FLIPPED,
+    MU_MINUS,
+    MU_PLUS,
     NATURAL,
-    HiddenState,
     MeterModel,
     UpdateRule,
     batch_constraint_check,
@@ -264,7 +265,7 @@ def _proportion(hits: int, n: int) -> McResult:
 # ---------------------------------------------------------------------------
 
 
-def run_epr_scan(angle_grid: Sequence[float],
+def run_epr_scan(angle_grid: Sequence[float] | np.ndarray,
                  meter_b_mode: str = "original") -> ScenarioReport:
     """Exact averaged pair product against the singlet correlation -a.b.
 
@@ -275,8 +276,8 @@ def run_epr_scan(angle_grid: Sequence[float],
     scalar part then comes out as +cos(theta), the wrong sign wherever
     cos(theta) is nonzero.
     """
-    if not angle_grid:
-        raise ValueError("angle grid must be nonempty")
+    if getattr(angle_grid, "ndim", 1) != 1 or not len(angle_grid):
+        raise ValueError("angle grid must be a nonempty 1-D sequence or array")
     if meter_b_mode not in EPR_MODES:
         raise ValueError(f"meter_b_mode must be one of {EPR_MODES}")
 
@@ -537,11 +538,6 @@ def _assignment_code(meters: Sequence[MeterModel]) -> str:
     return f"{ds}/{interp}"
 
 
-def _outcome_pair_expectation(ma: MeterModel, mb: MeterModel) -> float:
-    return expectation_over_mu(
-        lambda mu: float(meter_outcome(ma, E_Z, mu) * meter_outcome(mb, E_Z, mu)))
-
-
 def run_three_particle_search() -> ScenarioReport:
     """Exhaust every sign convention against the product state pattern +-+.
 
@@ -551,7 +547,7 @@ def run_three_particle_search() -> ScenarioReport:
     expectations (scalar part of the averaged geometric product), which is
     how the model computes correlations: those equal -dsX*dsY per pair and
     can never hit the targets (-1, +1, -1) for (A,B), (A,C), (B,C), since
-    the three products multiply to +1 while the targets multiply to -1.
+    the three products multiply to -1 while the targets multiply to +1.
     Interpreted +-1 outcome expectations and the per-mu outcome patterns
     are recorded alongside; a two-meter control over pattern +- shows that
     pair-by-pair fixes do exist, and the forced third-meter convention
@@ -564,39 +560,39 @@ def run_three_particle_search() -> ScenarioReport:
         "E_BC": quantum.product_state_correlation(pattern, (1, 2), E_Z),
         "control_E_AB": quantum.product_state_correlation((1, -1), (0, 1), E_Z),
     }
-    pair_names = (("E_AB", 0, 1), ("E_AC", 0, 2), ("E_BC", 1, 2))
-    # Every searched pair expectation, once per ordered meter pair.
-    meter_pairs = list(itertools.product(_METER_OPTIONS, repeat=2))
-    alg_by_pair = {pair: _algebraic_pair_expectation(*pair) for pair in meter_pairs}
-    out_by_pair = {pair: _outcome_pair_expectation(*pair) for pair in meter_pairs}
+    pairs = ("AB", "AC", "BC")
+    # The model is read once per meter option: its legs at each mu, and its
+    # pair expectations over ordered option pairs as 4 x 4 tables.
+    legs = {mu: np.array([meter_outcome(m, E_Z, mu) for m in _METER_OPTIONS])
+            for mu in (MU_PLUS, MU_MINUS)}
+    alg = np.array([[_algebraic_pair_expectation(x, y) for y in _METER_OPTIONS]
+                    for x in _METER_OPTIONS])
+    out = expectation_over_mu(lambda mu: np.multiply.outer(legs[mu], legs[mu]))
 
-    searched = list(itertools.product(_METER_OPTIONS, repeat=3))
-    codes = [_assignment_code(meters) for meters in searched]
-    exact: dict[str, list] = {}
-    errors: dict[str, list[float]] = {}
-    for name, i, j in pair_names:
-        exact[f"{name}_alg"] = alg = [alg_by_pair[m[i], m[j]] for m in searched]
-        exact[f"{name}_out"] = [out_by_pair[m[i], m[j]] for m in searched]
-        errors[name] = [abs(a - qm_ref[name]) for a in alg]
-    exact["err_total"] = totals = [sum(errs) for errs in zip(*errors.values())]
-    consistent = [all(err <= EXACT_TOL for err in errs) for errs in zip(*errors.values())]
-    at_plus, at_minus = ([tuple(meter_outcome(m, E_Z, HiddenState(mu)) for m in meters) == pattern
-                          for meters in searched] for mu in (1, -1))
-    control = [alg_by_pair[meters] for meters in meter_pairs]
-    control_ok = [abs(alg - qm_ref["control_E_AB"]) <= EXACT_TOL for alg in control]
+    # Row k: the option indices of the k-th assignment, in product order.
+    searched = np.array(list(itertools.product(range(len(_METER_OPTIONS)), repeat=3)))
+    codes = [_assignment_code(meters) for meters in itertools.product(_METER_OPTIONS, repeat=3)]
+    firsts, seconds = searched[:, [0, 0, 1]].T, searched[:, [1, 2, 2]].T  # AB, AC, BC rows
+    alg_pairs, out_pairs = alg[firsts, seconds], out[firsts, seconds]
+    errors = np.abs(alg_pairs - [[qm_ref[f"E_{p}"]] for p in pairs])
+    exact = {}
+    for p, pair_alg, pair_out in zip(pairs, alg_pairs, out_pairs):
+        exact[f"E_{p}_alg"], exact[f"E_{p}_out"] = pair_alg, pair_out
+    exact["err_total"] = errors[0] + errors[1] + errors[2]
+    consistent = np.all(errors <= EXACT_TOL, axis=0)
+    at_plus, at_minus = (np.all(legs[mu][searched] == pattern, axis=1) for mu in legs)
+    control = alg.ravel()  # row-major: the order of the ordered meter pairs
+    control_ok = np.abs(control - qm_ref["control_E_AB"]) <= EXACT_TOL
 
-    # The repaired convention: A natural, B same sign but flipped legs,
-    # C with the opposite definition sign and flipped legs.
-    forced_a = MeterModel(1, NATURAL)
-    forced_b = MeterModel(1, FLIPPED)
-    forced_c = MeterModel(-1, FLIPPED)
-    forced_ac = alg_by_pair[forced_a, forced_c]
-    forced_bc = alg_by_pair[forced_b, forced_c]
-    best_total, best_code = min(zip(totals, codes))  # codes are unique
+    # The repaired convention: A natural (option 0), B same sign but flipped
+    # legs (option 1), C with the opposite definition sign and flipped legs (3).
+    forced_ac, forced_bc = alg[[0, 1], 3].tolist()
+    best_total, best_code = min(zip(exact["err_total"].tolist(), codes))  # codes are unique
     best = codes.index(best_code)
 
     assign = [f"assign={code}" for code in codes]
-    ctrl = [f"ctrl={_assignment_code(meters)}" for meters in meter_pairs]
+    ctrl = ["ctrl=" + _assignment_code(pair)
+            for pair in itertools.product(_METER_OPTIONS, repeat=2)]
     return ScenarioReport(
         scenario_name="three-particle",
         parameters={"pattern": "+-+", "direction": "ez",
@@ -605,23 +601,23 @@ def run_three_particle_search() -> ScenarioReport:
             "forced_E_AC_alg": forced_ac,
             "forced_E_BC_alg": forced_bc,
             "configurations_visited": len(searched),
-            "consistent_assignments": sum(consistent),
-            "control_consistent_count": sum(control_ok),
+            "consistent_assignments": int(np.count_nonzero(consistent)),
+            "control_consistent_count": int(np.count_nonzero(control_ok)),
             "best_assignment": best_code,
-            **{f"best_err_{name[2:]}": errors[name][best] for name, _, _ in pair_names},
+            **{f"best_err_{p}": err for p, err in zip(pairs, errors[:, best].tolist())},
             "best_err_total": best_total,
         }],
         qm_reference=qm_ref,
         verdicts=[Grid(assign, {
             "pattern_at_mu_plus": at_plus,
             "pattern_at_mu_minus": at_minus,
-            "marginals_deterministic": [p and m for p, m in zip(at_plus, at_minus)],
+            "marginals_deterministic": at_plus & at_minus,
             "consistent": consistent,
         }), Grid(ctrl, {"consistent": control_ok}), {
             "forced_ac_matches_qm": abs(forced_ac - qm_ref["E_AC"]) <= EXACT_TOL,
             "forced_bc_matches_qm": abs(forced_bc - qm_ref["E_BC"]) <= EXACT_TOL,
-            "consistent_set_empty": not any(consistent),
-            "control_consistent_nonempty": any(control_ok),
+            "consistent_set_empty": not consistent.any(),
+            "control_consistent_nonempty": bool(control_ok.any()),
             "search_visited_declared_count": len(searched) == 64,
         }],
     )

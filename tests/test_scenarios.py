@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,6 +137,15 @@ def test_epr_scan_rejects_empty_grid_and_bad_mode():
         run_epr_scan([], "original")
     with pytest.raises(ValueError):
         run_epr_scan([0.0], "nonsense")
+    for grid in (np.array([]), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            run_epr_scan(grid, "original")
+
+
+@pytest.mark.parametrize("grid", [GRID_37, [0.0]], ids=["grid-37", "one-point"])
+@pytest.mark.parametrize("mode", scenarios.EPR_MODES)
+def test_epr_scan_takes_a_list_or_an_array(mode, grid):
+    assert run_epr_scan(np.array(grid), mode).to_json() == run_epr_scan(grid, mode).to_json()
 
 
 # -- CHSH ---------------------------------------------------------------
@@ -290,6 +300,15 @@ def test_three_particle_marginal_bookkeeping():
     at_plus = [v for k, v in report.verdicts.items()
                if k.endswith(":pattern_at_mu_plus")]
     assert sum(at_plus) == 8
+
+
+def test_three_particle_search_reads_each_meter_option_once():
+    # 4 options: each leg at 2 hidden states, each ordered pair's expectation.
+    with mock.patch.object(scenarios, "meter_outcome", wraps=scenarios.meter_outcome) as legs, \
+            mock.patch.object(scenarios, "_algebraic_pair_expectation",
+                              wraps=scenarios._algebraic_pair_expectation) as pairs:
+        run_three_particle_search()
+    assert (legs.call_count, pairs.call_count) == (8, 16)
 
 
 def test_three_particle_algebraic_pairs_cannot_all_match():
