@@ -160,14 +160,15 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                       + (f" --mode {mode}" if mode else ""))
     ns.mode = mode
 
-    if ns.seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
+    env = os.environ.get(SEED_ENV_VAR) if ns.seed is None else None
+    if env is not None:
         try:
-            ns.seed = DEFAULTS["seed"] if env is None else int(env)
+            ns.seed = int(env)
         except ValueError:
             run.error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    if not 0 <= ns.seed < 2 ** 64:
-        run.error("--seed must fit in an unsigned 64-bit integer")
+    if ns.seed is not None and not 0 <= ns.seed < 2 ** 64:
+        run.error("--seed must fit in an unsigned 64-bit integer" if env is None
+                  else f"{SEED_ENV_VAR} must fit in an unsigned 64-bit integer, got {env!r}")
 
     if ns.angles is not None:
         try:

@@ -53,9 +53,6 @@ class HiddenState:
         if self.mu_sign not in (1, -1):
             raise ValueError("mu_sign must be +1 or -1")
 
-    def as_multivector(self) -> Multivector:
-        return Multivector.pseudoscalar(float(self.mu_sign))
-
 
 MU_PLUS = HiddenState(1)
 MU_MINUS = HiddenState(-1)
@@ -90,7 +87,7 @@ def batch_observable_value(meter: MeterModel, n, mu: HiddenState) -> np.ndarray:
     n = unit_vectors(n)
     vectors = np.zeros((len(n), 8))
     vectors[:, 1:4] = n
-    return meter.def_sign * batch_product(mu.as_multivector().coeffs, vectors, "dot")
+    return meter.def_sign * batch_product(Multivector.pseudoscalar(mu.mu_sign).coeffs, vectors, "dot")
 
 
 def meter_outcome(meter: MeterModel, n: Vec3, mu: HiddenState) -> int:

@@ -8,6 +8,7 @@ and only probabilities and expectation values are ever exposed.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -60,25 +61,23 @@ def ket_z(sign: int) -> np.ndarray:
 
 def singlet_state() -> np.ndarray:
     """(|+-> - |-+>)/sqrt(2): perfect anticorrelation in every direction."""
-    state = (tensor(ket_z(1), ket_z(-1)) - tensor(ket_z(-1), ket_z(1))) / math.sqrt(2.0)
-    return state
+    return (product_state((1, -1)) - product_state((-1, 1))) / math.sqrt(2.0)
 
 
 def product_state(pattern: Sequence[int]) -> np.ndarray:
     """z-basis product state for a +-1 pattern of 2 or 3 particles."""
     if len(pattern) not in (2, 3):
         raise ValueError("pattern must list 2 or 3 particles")
-    state = ket_z(pattern[0])
-    for sign in pattern[1:]:
-        state = tensor(state, ket_z(sign))
-    return state
+    return functools.reduce(tensor, map(ket_z, pattern))
 
 
-def expectation(op: np.ndarray, state: np.ndarray) -> float:
-    value = np.vdot(state, op @ state)
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"expectation of a non-Hermitian operator: {value!r}")
-    return float(value.real)
+def expectation(op: np.ndarray, state: np.ndarray) -> np.ndarray | float:
+    """<state|op|state> for one operator (a float) or a stack of them (an
+    array of floats); every operator must be Hermitian."""
+    values = np.einsum("i,...i->...", state.conj(), op @ state)
+    if np.any(np.abs(values.imag) > 1e-10):
+        raise ValueError(f"expectation of a non-Hermitian operator: {values!r}")
+    return values.real
 
 
 def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
@@ -96,11 +95,7 @@ def batch_singlet_correlation(a, b) -> np.ndarray:
         raise ValueError("direction arrays must have the same length")
     # Row-wise Kronecker product, left factor as the slower index.
     ops = (a_ops[:, :, None, :, None] * b_ops[:, None, :, None, :]).reshape(-1, 4, 4)
-    singlet = singlet_state()
-    values = np.einsum("i,ni->n", singlet.conj(), ops @ singlet)
-    if np.any(np.abs(values.imag) > 1e-10):
-        raise ValueError("expectation of a non-Hermitian operator")
-    return values.real
+    return expectation(ops, singlet_state())
 
 
 def sequential_probabilities(state: np.ndarray,
@@ -129,17 +124,13 @@ def product_state_correlation(pattern: Sequence[int],
                               direction: Sequence[float]) -> float:
     """Expectation of (n.sigma)x(n.sigma) on the chosen pair of a z-basis
     product state, identity on any remaining particle."""
-    count = len(pattern)
-    if count not in (2, 3):
-        raise ValueError("pattern must list 2 or 3 particles")
+    state = product_state(pattern)
     i, j = pair
-    if i == j or not (0 <= i < count and 0 <= j < count):
+    if i == j or not (0 <= i < len(pattern) and 0 <= j < len(pattern)):
         raise ValueError(f"pair {pair!r} must be two distinct particle indexes")
-    op = None
-    for idx in range(count):
-        factor = spin_op(direction) if idx in (i, j) else IDENTITY_2
-        op = factor if op is None else tensor(op, factor)
-    return expectation(op, product_state(pattern))
+    factors = [IDENTITY_2] * len(pattern)
+    factors[i] = factors[j] = spin_op(direction)
+    return float(expectation(functools.reduce(tensor, factors), state))
 
 
 def chsh_combination(e_ab: float, e_ab2: float, e_a2b: float, e_a2b2: float) -> float:

@@ -438,33 +438,31 @@ def run_sequential(model: str = "clifford",
             raise ValueError("the clifford model needs an update rule")
         p_flip = rule.prob(1, "z")
         parameters["flip_prob_after_z"] = p_flip
-        exact["P_zz"] = 1.0 - p_flip
-        exact["P_zx"] = 1.0 - p_flip
-        m_zz = verdicts["P_zz_matches_qm"] = abs(exact["P_zz"] - qm_ref["P_zz"]) <= EXACT_TOL
-        m_zx = verdicts["P_zx_matches_qm"] = abs(exact["P_zx"] - qm_ref["P_zx"]) <= EXACT_TOL
-        verdicts["defect_demonstrated"] = not (m_zz and m_zx)
+        exact["P_zz"] = exact["P_zx"] = 1.0 - p_flip
         qm_ref.pop("P_zxz")
-        return ScenarioReport("sequential", parameters, exact, mc, qm_ref, verdicts, seed)
+    else:
+        _check_samples(samples)
+        parameters.update(samples=samples, note=BELL_UPDATE_NOTE)
+        rng = np.random.default_rng(seed)
+        static = model == "bell-static"
+        # Static lambda: signs of lambda components are independent for
+        # orthogonal axes, so the first two conditionals are exact by symmetry
+        # while the third is pinned to 1.  The hemisphere redraw around each
+        # measured axis restores the third to 1/2.
+        exact.update(P_zz=1.0, P_zx=0.5, P_zxz=1.0 if static else 0.5)
+        z_up, zx_up = map(sum, zip(*map(_static_posterior, lambda_chunks(rng, samples))))
+        zz, zx, zxz = (z_up, zx_up, zx_up) if static else _redraw_counts(rng, z_up)
+        mc.update(P_zz=_proportion(zz, z_up), P_zx=_proportion(zx, z_up),
+                  P_zxz=_proportion(zxz, zx))
 
-    _check_samples(samples)
-    parameters.update(samples=samples, note=BELL_UPDATE_NOTE)
-    rng = np.random.default_rng(seed)
-    static = model == "bell-static"
-
-    # Static lambda: signs of lambda components are independent for
-    # orthogonal axes, so the first two conditionals are exact by symmetry
-    # while the third is pinned to 1.  The hemisphere redraw around each
-    # measured axis restores the third to 1/2.
-    exact.update(P_zz=1.0, P_zx=0.5, P_zxz=1.0 if static else 0.5)
-    z_up, zx_up = map(sum, zip(*map(_static_posterior, lambda_chunks(rng, samples))))
-    zz, zx, zxz = (z_up, zx_up, zx_up) if static else _redraw_counts(rng, z_up)
-    mc.update(P_zz=_proportion(zz, z_up), P_zx=_proportion(zx, z_up),
-              P_zxz=_proportion(zxz, zx))
-
-    for name, m in mc.items():
-        verdicts[f"{name}_matches_qm"] = abs(exact[name] - qm_ref[name]) <= EXACT_TOL
-        verdicts[f"{name}_mc_matches_qm"] = abs(m.estimate - qm_ref[name]) <= 3.0 * m.standard_error
-    if static:
+    for name, value in exact.items():
+        verdicts[f"{name}_matches_qm"] = abs(value - qm_ref[name]) <= EXACT_TOL
+        if name in mc:
+            m = mc[name]
+            verdicts[f"{name}_mc_matches_qm"] = abs(m.estimate - qm_ref[name]) <= 3.0 * m.standard_error
+    if model == "clifford":
+        verdicts["defect_demonstrated"] = not all(verdicts.values())
+    elif model == "bell-static":
         verdicts["third_measurement_defect"] = not verdicts["P_zxz_matches_qm"]
     return ScenarioReport("sequential", parameters, exact, mc, qm_ref, verdicts, seed)
 

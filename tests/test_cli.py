@@ -5,8 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as st
 
 import bellcheck
 from bellcheck import cli, scenarios
@@ -234,6 +237,23 @@ def test_seed_env_override(monkeypatch):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("env,flag,message", [
+    ("-1", None, "BELLCHECK_SEED must fit in an unsigned 64-bit integer, got '-1'"),
+    (str(2 ** 64), None,
+     f"BELLCHECK_SEED must fit in an unsigned 64-bit integer, got '{2 ** 64}'"),
+    (None, "-1", "--seed must fit in an unsigned 64-bit integer"),
+    ("7", str(2 ** 64), "--seed must fit in an unsigned 64-bit integer"),
+], ids=["env-negative", "env-2**64", "flag-negative", "flag-2**64-over-env"])
+def test_out_of_range_seed_names_its_source(env, flag, message, monkeypatch, capsys):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    if env is not None:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+    assert exit_code(["chsh"] + (["--seed", flag] if flag else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"bellcheck run: error: {message}\n")
+
+
 # -- end-to-end runs ---------------------------------------------------------
 
 
@@ -392,3 +412,95 @@ def test_sequential_modes_run_from_cli(capsys):
     assert cli.main(["run", "sequential", "--mode", "bell-hemisphere",
                      "--samples", "20000"]) == 0
     capsys.readouterr()
+
+
+# -- property test of the CLI contract -----------------------------------------
+
+# Boundary values of every numeric flag, never an accepted MAX_SAMPLES.
+_NUMBERS = ["0", "1", "-1", str(scenarios.MIN_MC_SAMPLES - 1),
+            str(scenarios.MIN_MC_SAMPLES + 1), str(scenarios.MAX_SAMPLES + 1),
+            "nan", "inf", "-inf", "-0.0", "1e-300", "many"]
+_CONTRACT_VALUES = {
+    "--samples": st.sampled_from(_NUMBERS),
+    "--flip-prob": st.sampled_from(_NUMBERS + ["0.5"]),
+    "--grid-step": st.sampled_from(_NUMBERS + ["0.1", "0.01"]),
+    "--angles": st.lists(st.sampled_from(_NUMBERS + ["0.5", "3.14159"]),
+                         min_size=3, max_size=3).map(":".join),
+    "--mode": st.sampled_from(sorted({m for _, m in cli.REGISTRY if m} | {"bogus"})),
+}
+_SEEDS = ["0", "-1", str(2 ** 64 - 1), str(2 ** 64), "x"]
+_OUTS = [None, "file", "missing-dir"] + (["/dev/full"] if os.path.exists("/dev/full") else [])
+
+
+def _accepted_grid_points(angles):
+    """The points of an --angles grid the CLI accepts, 0 for one it refuses."""
+    try:
+        return scenarios.grid_points(*(float(part) for part in angles.split(":")))
+    except ValueError:
+        return 0
+
+
+@st.composite
+def _contract_invocations(draw):
+    """A scenario/mode, a subset of the flags it reads, at most one flag it
+    may not read, each with a boundary value, plus seed, format and target."""
+    (scenario, mode), variant = draw(st.sampled_from(list(cli.REGISTRY.items())))
+    args = [scenario] + (["--mode", mode] if mode else [])
+    own = [f for f in variant.flags if f != "--mode"]
+    flags = draw(st.lists(st.sampled_from(own), unique=True)) if own else []
+    flags += draw(st.lists(st.sampled_from(sorted(_CONTRACT_VALUES)), max_size=1))
+    for flag in flags:
+        value = draw(_CONTRACT_VALUES[flag])
+        # Keep accepted runs small: at most 1e4 grid points (samples stay <= 1e5).
+        assume(flag != "--angles" or _accepted_grid_points(value) <= 10_000)
+        args += [flag, value]
+    seed = draw(st.none() | st.sampled_from(_SEEDS))
+    args += ["--seed", seed] if seed is not None else []
+    fmt = draw(st.none() | st.sampled_from(cli.FORMATS))
+    args += ["--format", fmt] if fmt is not None else []
+    return args, draw(st.none() | st.sampled_from(_SEEDS)), draw(st.sampled_from(_OUTS))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_contract_invocations())
+# Every run draws exits 0 and 2; these pin a gate failure and a failed write.
+@example(invocation=(["bell-toy", "--samples", "10000", "--seed", "2"], None, None))
+@example(invocation=(["chsh", "--samples", "0"], "7", "missing-dir"))
+def test_cli_contract_holds_on_boundary_values(capsys, invocation):
+    """150 drawn examples and 2 explicit ones.  Exit codes are 0..3; a refusal
+    or a failed write leaves stdout empty and no traceback; a report's exit
+    code is its gate."""
+    args, env_seed, target = invocation
+    env = {} if env_seed is None else {cli.SEED_ENV_VAR: env_seed}
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        if env_seed is None:
+            os.environ.pop(cli.SEED_ENV_VAR, None)
+        out = {"file": os.path.join(tmp, "report"),
+               "missing-dir": os.path.join(tmp, "missing", "report")}.get(target, target)
+        argv = ["run", *args] + (["--out", out] if out else [])
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = 2
+        captured = capsys.readouterr()
+        event(f"exit code {code}")
+        assert code in {0, 1, 2, 3}
+        if code in (2, 3):
+            assert captured.out == ""
+            assert captured.err
+            assert "Traceback" not in captured.err
+            assert "internal error" not in captured.err
+            return
+        config = cli.parse_args(argv)
+        report = cli.REGISTRY[config.scenario, config.mode].run(config)
+        assert code == (0 if report.gate_passed() else 1)
+        text = cli.emit_report(report, config, report.gate_passed())
+        if out is None:
+            assert captured.out == text
+        else:
+            assert captured.out == ""
+            with open(out, encoding="utf-8") as handle:
+                assert handle.read() == text

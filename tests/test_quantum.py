@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -71,6 +72,46 @@ def test_tensor_eigenstate():
     op = quantum.tensor(quantum.spin_op(EZ), quantum.spin_op(EZ))
     state = quantum.tensor(quantum.ket_z(1), quantum.ket_z(-1))
     assert np.allclose(op @ state, -state)
+
+
+# -- states and expectations -------------------------------------------------
+
+
+@pytest.mark.parametrize("pattern", [p for count in (2, 3)
+                                     for p in itertools.product((1, -1), repeat=count)])
+def test_product_state_is_the_left_to_right_tensor_chain(pattern):
+    chain = quantum.ket_z(pattern[0])
+    for sign in pattern[1:]:
+        chain = quantum.tensor(chain, quantum.ket_z(sign))
+    assert quantum.product_state(pattern).tobytes() == chain.tobytes()
+
+
+def test_singlet_state_is_the_two_term_expression():
+    up_down = quantum.tensor(quantum.ket_z(1), quantum.ket_z(-1))
+    down_up = quantum.tensor(quantum.ket_z(-1), quantum.ket_z(1))
+    expected = (up_down - down_up) / math.sqrt(2.0)
+    assert quantum.singlet_state().tobytes() == expected.tobytes()
+
+
+def test_expectation_of_a_stack_is_each_expectation(rng):
+    stack = quantum.batch_spin_op([random_direction(rng) for _ in range(40)])
+    stack = np.einsum("nij,mkl->nmikjl", stack, stack).reshape(-1, 4, 4)
+    state = quantum.singlet_state()
+    values = quantum.expectation(stack, state)
+    assert values.shape == (1600,)
+    each = np.array([quantum.expectation(op, state) for op in stack])
+    assert values.tobytes() == each.tobytes()
+
+
+def test_expectation_rejects_a_non_hermitian_operator_in_a_stack():
+    stack = np.stack([np.eye(4, dtype=complex)] * 3)
+    stack[1, 0, 1] = 1j
+    state = quantum.product_state((1, 1)) + quantum.product_state((1, -1))
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        quantum.expectation(stack, state)
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        quantum.expectation(stack[1], state)
+    assert quantum.expectation(stack[[0, 2]], state).tolist() == [2.0, 2.0]
 
 
 # -- singlet correlations --------------------------------------------------
@@ -203,6 +244,9 @@ def test_product_state_validates_pair():
         quantum.product_state_correlation((1, -1, 1), (0, 3), EZ)
     with pytest.raises(ValueError):
         quantum.product_state_correlation((1,), (0, 1), EZ)
+    # The pattern is refused as such, not by tensor's size limit.
+    with pytest.raises(ValueError, match="pattern must list 2 or 3 particles"):
+        quantum.product_state_correlation((1, 1, 1, 1), (0, 1), EZ)
 
 
 # -- CHSH ---------------------------------------------------------------
