@@ -103,11 +103,6 @@ class Multivector:
         return Multivector((float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @staticmethod
-    def from_vector(v: Sequence[float]) -> "Multivector":
-        x, y, z = v
-        return Multivector((0.0, float(x), float(y), float(z), 0.0, 0.0, 0.0, 0.0))
-
-    @staticmethod
     def pseudoscalar(value: float = 1.0) -> "Multivector":
         return Multivector((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(value)))
 
@@ -150,9 +145,6 @@ class Multivector:
     @property
     def scalar_part(self) -> float:
         return self.coeffs[0]
-
-    def max_abs_coeff(self) -> float:
-        return max(abs(c) for c in self.coeffs)
 
     def coeff_norm(self) -> float:
         return math.sqrt(sum(map(operator.mul, self.coeffs, self.coeffs)))

@@ -75,7 +75,7 @@ def expectation(op: np.ndarray, state: np.ndarray) -> np.ndarray | float:
     """<state|op|state> for one operator (a float) or a stack of them (an
     array of floats); every operator must be Hermitian."""
     values = np.einsum("i,...i->...", state.conj(), op @ state)
-    if np.any(np.abs(values.imag) > 1e-10):
+    if not np.all(np.abs(values.imag) <= 1e-10):
         raise ValueError(f"expectation of a non-Hermitian operator: {values!r}")
     return values.real
 
@@ -109,7 +109,7 @@ def sequential_probabilities(state: np.ndarray,
     if len(directions) != len(outcomes) or not directions:
         raise ValueError("directions and outcomes must be equal-length, nonempty")
     norm = float(np.vdot(psi, psi).real)
-    if abs(norm - 1.0) > STATE_TOL:
+    if not abs(norm - 1.0) <= STATE_TOL:
         raise ValueError(f"state norm {norm!r} is not 1")
     for n, outcome in zip(directions, outcomes):
         if outcome not in (1, -1):

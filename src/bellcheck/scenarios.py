@@ -45,8 +45,11 @@ from .models import (
 )
 from .report import Grid, Section, _fmt_all, _grid_keys, _json_value
 
+# Every verdict is decided by _close, within one of these tolerances, or by _within.
 EXACT_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
+MARGIN_TOL = 0.01
+MC_Z = 3.0
 
 E_Z: Vec3 = (0.0, 0.0, 1.0)
 E_X: Vec3 = (1.0, 0.0, 0.0)
@@ -66,6 +69,18 @@ BELL_UPDATE_NOTE = (
 INFO = None
 
 
+def _close(got, reference, tol: float = EXACT_TOL):
+    """|got - reference| <= tol, a bool for scalars and the mask for arrays."""
+    ok = np.abs(np.subtract(got, reference)) <= tol
+    return ok if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def _within(m: McResult, reference: float, upper: bool = False) -> bool:
+    """m.estimate within MC_Z standard errors of reference; with `upper`, at most that far above."""
+    bound = MC_Z * m.standard_error
+    return bool(m.estimate <= reference + bound if upper else abs(m.estimate - reference) <= bound)
+
+
 def _parallel_pairs(parameters: Section, groups: list[str]) -> np.ndarray:
     """Whether a and b of each "pair[i]" group are parallel or antiparallel,
     i.e. every commutator coefficient 2(a x b)_k is within EXACT_TOL of zero.
@@ -76,7 +91,7 @@ def _parallel_pairs(parameters: Section, groups: list[str]) -> np.ndarray:
                   if isinstance(b, dict) and all(map(b.__contains__, groups))), parameters)
     text = " ".join(map(block.__getitem__, groups)).translate(str.maketrans("", "", "ab=();"))
     a, b = np.array(text.split(), dtype=float).reshape(-1, 2, 3).transpose(1, 0, 2)
-    return np.all(np.abs(2.0 * np.cross(a, b)) <= EXACT_TOL, axis=1)
+    return _close(2.0 * np.cross(a, b), 0.0).all(axis=1)
 
 
 # (scenario_name, parameters.get("model")) -> verdict -> the value it must take
@@ -155,12 +170,10 @@ class McResult:
 
 
 def _agrees(values, want) -> bool:
-    """Whether each verdict value equals its designation, INFO aside; `want`
-    is one designation for every value or a sequence of one per value."""
-    if isinstance(values, np.ndarray) and not isinstance(want, list):
-        return want is INFO or bool(np.all(values == want))
-    wants = want if isinstance(want, (list, np.ndarray)) else itertools.repeat(want)
-    return all(w is INFO or ok == w for ok, w in zip(values, wants))
+    """Whether each value equals `want`, or its own entry of a list `want`, INFO aside."""
+    if isinstance(want, list):
+        return all(w is INFO or ok == w for ok, w in zip(values, want))
+    return want is INFO or bool(np.all(np.equal(values, want)))
 
 
 class ScenarioReport:
@@ -291,10 +304,8 @@ def run_epr_scan(angle_grid: Sequence[float] | np.ndarray,
     bivector_rows = np.where(np.equal(GRADES, 2), averaged_rows, 0.0)
     qm_values = quantum.batch_singlet_correlation(a_dirs, b_dirs)
     scalars = averaged_rows[:, 0]
-    if meter_b_mode == "original":
-        verdict, oks = "matches_qm", np.abs(scalars - qm_values) <= EXACT_TOL
-    else:
-        verdict, oks = "wrong_sign", np.abs(scalars - b_dirs[:, 2]) <= EXACT_TOL
+    verdict = "matches_qm" if meter_b_mode == "original" else "wrong_sign"
+    oks = _close(scalars, qm_values if meter_b_mode == "original" else b_dirs[:, 2])
     groups = [f"theta={t}" for t in _fmt_all(angle_grid)]
 
     return ScenarioReport(
@@ -358,8 +369,8 @@ def run_chsh(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> Scenar
 
     tsirelson = 2.0 * math.sqrt(2.0)
     mc: dict[str, McResult] = {}
-    verdicts = {"qm_chsh_at_tsirelson": abs(qm - tsirelson) <= 1e-9,
-                "model_scalar_chsh_matches_qm": abs(model_chsh - qm) <= EXACT_TOL}
+    verdicts = {"qm_chsh_at_tsirelson": _close(qm, tsirelson, FEASIBILITY_TOL),
+                "model_scalar_chsh_matches_qm": _close(model_chsh, qm)}
     if samples > 0:
         rng = np.random.default_rng(seed)
         terms = {name: _sign_mean(sum(_static_sign_correlation(x, y, lams)
@@ -368,8 +379,8 @@ def run_chsh(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> Scenar
         mc.update((f"bell_static_{name}", term) for name, term in terms.items())
         s_est = quantum.chsh_combination(*(term.estimate for term in terms.values()))
         s_se = math.sqrt(sum(t.standard_error ** 2 for t in terms.values()))
-        mc["bell_static_chsh"] = McResult(s_est, s_se, samples)
-        verdicts["bell_static_within_local_bound"] = s_est <= 2.0 + 3.0 * s_se
+        mc["bell_static_chsh"] = chsh = McResult(s_est, s_se, samples)
+        verdicts["bell_static_within_local_bound"] = _within(chsh, 2.0, upper=True)
 
     return ScenarioReport(
         scenario_name="chsh",
@@ -456,10 +467,9 @@ def run_sequential(model: str = "clifford",
                   P_zxz=_proportion(zxz, zx))
 
     for name, value in exact.items():
-        verdicts[f"{name}_matches_qm"] = abs(value - qm_ref[name]) <= EXACT_TOL
+        verdicts[f"{name}_matches_qm"] = _close(value, qm_ref[name])
         if name in mc:
-            m = mc[name]
-            verdicts[f"{name}_mc_matches_qm"] = abs(m.estimate - qm_ref[name]) <= 3.0 * m.standard_error
+            verdicts[f"{name}_mc_matches_qm"] = _within(mc[name], qm_ref[name])
     if model == "clifford":
         verdicts["defect_demonstrated"] = not all(verdicts.values())
     elif model == "bell-static":
@@ -491,8 +501,7 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     p_zz = p_zx = 1.0 - p
 
     def meets(zz: float, zx: float) -> np.ndarray:
-        return ((np.abs(p_zz - zz) <= FEASIBILITY_TOL)
-                & (np.abs(p_zx - zx) <= FEASIBILITY_TOL))
+        return _close(p_zz, zz, FEASIBILITY_TOL) & _close(p_zx, zx, FEASIBILITY_TOL)
 
     oks = meets(1.0, 0.5)
     feasible, relaxed_repeat, relaxed_uniform = (
@@ -502,10 +511,9 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     exact = {"feasible_count": len(feasible),
              "relaxed_repeat_count": len(relaxed_repeat),
              "relaxed_uniform_count": len(relaxed_uniform)}
-    if relaxed_repeat:
-        exact["relaxed_repeat_first"] = relaxed_repeat[0]
-    if relaxed_uniform:
-        exact["relaxed_uniform_first"] = relaxed_uniform[0]
+    for name, hits in (("relaxed_repeat", relaxed_repeat), ("relaxed_uniform", relaxed_uniform)):
+        if hits:
+            exact[f"{name}_first"] = hits[0]
     return ScenarioReport(
         scenario_name="update-rule-search",
         parameters={"grid_step": grid_step, "n_grid": len(grid),
@@ -572,15 +580,16 @@ def run_three_particle_search() -> ScenarioReport:
     codes = [_assignment_code(meters) for meters in itertools.product(_METER_OPTIONS, repeat=3)]
     firsts, seconds = searched[:, [0, 0, 1]].T, searched[:, [1, 2, 2]].T  # AB, AC, BC rows
     alg_pairs, out_pairs = alg[firsts, seconds], out[firsts, seconds]
-    errors = np.abs(alg_pairs - [[qm_ref[f"E_{p}"]] for p in pairs])
+    targets = [[qm_ref[f"E_{p}"]] for p in pairs]
+    errors = np.abs(alg_pairs - targets)
     exact = {}
     for p, pair_alg, pair_out in zip(pairs, alg_pairs, out_pairs):
         exact[f"E_{p}_alg"], exact[f"E_{p}_out"] = pair_alg, pair_out
     exact["err_total"] = errors[0] + errors[1] + errors[2]
-    consistent = np.all(errors <= EXACT_TOL, axis=0)
-    at_plus, at_minus = (np.all(legs[mu][searched] == pattern, axis=1) for mu in legs)
+    consistent = _close(alg_pairs, targets).all(axis=0)
+    at_plus, at_minus = (_close(legs[mu][searched], pattern, 0.0).all(axis=1) for mu in legs)
     control = alg.ravel()  # row-major: the order of the ordered meter pairs
-    control_ok = np.abs(control - qm_ref["control_E_AB"]) <= EXACT_TOL
+    control_ok = _close(control, qm_ref["control_E_AB"])
 
     # The repaired convention: A natural (option 0), B same sign but flipped
     # legs (option 1), C with the opposite definition sign and flipped legs (3).
@@ -612,11 +621,11 @@ def run_three_particle_search() -> ScenarioReport:
             "marginals_deterministic": at_plus & at_minus,
             "consistent": consistent,
         }), Grid(ctrl, {"consistent": control_ok}), {
-            "forced_ac_matches_qm": abs(forced_ac - qm_ref["E_AC"]) <= EXACT_TOL,
-            "forced_bc_matches_qm": abs(forced_bc - qm_ref["E_BC"]) <= EXACT_TOL,
+            "forced_ac_matches_qm": _close(forced_ac, qm_ref["E_AC"]),
+            "forced_bc_matches_qm": _close(forced_bc, qm_ref["E_BC"]),
             "consistent_set_empty": not consistent.any(),
             "control_consistent_nonempty": bool(control_ok.any()),
-            "search_visited_declared_count": len(searched) == 64,
+            "search_visited_declared_count": _close(len(searched), 64, 0.0),
         }],
     )
 
@@ -643,16 +652,15 @@ def run_constraint_check(direction_pairs) -> ScenarioReport:
 
     meter = MeterModel()
     audit = batch_constraint_check(meter, meter, *map(unit_vectors, pairs.transpose(1, 0, 2)))
-    # Multivector.max_abs_coeff() <= EXACT_TOL row by row, on the commutator
-    # and on the square's residual from the scalar 1.
-    commutes = np.all(np.abs(audit.commutator_avg) <= EXACT_TOL, axis=1)
-    normalized_ok = np.all(np.abs(audit.square_avg - ONE.coeffs) <= EXACT_TOL, axis=1)
+    # Every coefficient within EXACT_TOL, row by row, of zero for the
+    # commutator and of the scalar 1 for the square.
+    commutes = _close(audit.commutator_avg, 0.0).all(axis=1)
+    normalized_ok = _close(audit.square_avg, ONE.coeffs).all(axis=1)
 
     groups = [f"pair[{i}]" for i in range(len(pairs))]
     # "%.12g" % x is the _fmt text of x
     pair_texts = ["a=(%.12g; %.12g; %.12g) b=(%.12g; %.12g; %.12g)" % tuple(row)
                   for row in pairs.reshape(-1, 6).tolist()]
-    normalization_violations = int(np.count_nonzero(~normalized_ok))
     return ScenarioReport(
         scenario_name="constraint-check",
         parameters=[{"meter_a_def_sign": meter.def_sign, "meter_b_def_sign": meter.def_sign,
@@ -662,10 +670,10 @@ def run_constraint_check(direction_pairs) -> ScenarioReport:
                                      "square": audit.square_avg,
                                      "square_scalar": audit.square_avg[:, 0]}),
                        {"commutator_violations": int(np.count_nonzero(~commutes)),
-                        "normalization_violations": normalization_violations}],
+                        "normalization_violations": int(np.count_nonzero(~normalized_ok))}],
         qm_reference={"commutator_target": 0.0, "square_target": 1.0},
         verdicts=[Grid(groups, {"commutator_zero": commutes, "normalization_holds": normalized_ok}),
-                  {"normalization_violated_for_all": normalization_violations == len(pairs)}],
+                  {"normalization_violated_for_all": not normalized_ok.any()}],
     )
 
 
@@ -714,13 +722,12 @@ def run_bell_toy(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> Sc
         mc_results=mc,
         qm_reference={"P_third": qm_third},
         verdicts={
-            "hemisphere_mean_cos_ok": abs(cos.estimate - 0.5) <= 0.01,
-            "hemisphere_support_ok": mc["hemisphere_support"].estimate == 1.0,
-            "hemisphere_transverse_ok": abs(transverse.estimate) <= 0.01,
-            "static_third_is_one": static.estimate == 1.0,
-            "static_third_fails_qm": abs(static.estimate - qm_third) > 3.0 * static.standard_error,
-            "hemisphere_third_matches_qm":
-                abs(hemisphere.estimate - qm_third) <= 3.0 * hemisphere.standard_error,
+            "hemisphere_mean_cos_ok": _close(cos.estimate, 0.5, MARGIN_TOL),
+            "hemisphere_support_ok": _close(mc["hemisphere_support"].estimate, 1.0, 0.0),
+            "hemisphere_transverse_ok": _close(transverse.estimate, 0.0, MARGIN_TOL),
+            "static_third_is_one": _close(static.estimate, 1.0, 0.0),
+            "static_third_fails_qm": not _within(static, qm_third),
+            "hemisphere_third_matches_qm": _within(hemisphere, qm_third),
         },
         seed=seed,
     )

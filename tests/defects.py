@@ -10,8 +10,9 @@ from unittest import mock
 
 import numpy as np
 
-from bellcheck import models, scenarios
+from bellcheck import cli, models, quantum, scenarios
 from bellcheck.clifford import ONE
+from bellcheck.report import _fmt_all
 
 # The default constraint-check grid: 37 pairs (e_z, b(k pi/36)), of which
 # pair[0] and pair[36] are parallel and antiparallel.
@@ -20,6 +21,11 @@ PAIRS = [f"pair[{i}]" for i in range(37)]
 # The three-particle assignments whose legs read the pattern +-+ at mu = +I.
 PATTERN_AT_MU_PLUS = ["+++/NFN", "++-/NFF", "+-+/NNN", "+--/NNF",
                       "-++/FFN", "-+-/FFF", "--+/FNN", "---/FNF"]
+
+# The default epr-scan groups other than theta = pi/2 (index 18), where the
+# correlation cos(theta) is within 1e-12 of 0 and so of its own negation.
+THETAS = [f"theta={t}" for i, t in
+          enumerate(_fmt_all(scenarios.closed_grid(*cli.DEFAULTS["angles"]))) if i != 18]
 
 
 def _forced(average: str, row):
@@ -32,10 +38,10 @@ def _forced(average: str, row):
     return mock.patch.object(scenarios, "batch_constraint_check", defect)
 
 
-def _patched(name: str, defect):
-    """models.<name> replaced by defect(real, *args)."""
-    real = getattr(models, name)
-    return mock.patch.object(models, name, lambda *args: defect(real, *args))
+def _patched(name: str, defect, module=models):
+    """<module>.<name> replaced by defect(real, *args)."""
+    real = getattr(module, name)
+    return mock.patch.object(module, name, lambda *args: defect(real, *args))
 
 
 # name -> (argv after "run", patch factory, gated verdicts it must flip)
@@ -63,4 +69,19 @@ DEFECTS = {
         lambda: _patched("observable_value",
                          lambda real, meter, n, mu: real(models.MeterModel(), n, mu)),
         {"forced_ac_matches_qm", "forced_bc_matches_qm"}),
+    "epr-scan-oracle-sign-flipped": (
+        ["epr-scan"],
+        lambda: _patched("batch_singlet_correlation", lambda real, a, b: -real(a, b), quantum),
+        {f"{t}:matches_qm" for t in THETAS} | {"all_points_as_predicted"}),
+    "epr-scan-anticorrelated-meter-b-read-as-a": (
+        ["epr-scan", "--mode", "anticorrelated"],
+        lambda: _patched("batch_pair_product",
+                         lambda real, ma, mb, a, b, mu: real(ma, ma, a, b, mu), scenarios),
+        {f"{t}:wrong_sign" for t in THETAS} | {"all_points_as_predicted"}),
+    # Lambdas drawn on the full sphere: half of them read n.lambda < 0.
+    "bell-toy-full-sphere-sampler": (
+        ["bell-toy"],
+        lambda: _patched("hemisphere_samples",
+                         lambda real, n, outcome, rng, size: models.random_unit_vectors(rng, size)),
+        {"hemisphere_mean_cos_ok", "hemisphere_support_ok"}),
 }

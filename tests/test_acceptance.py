@@ -52,15 +52,15 @@ def test_criterion_1_algebra_kernel():
         x, y, z = mvs[idx], mvs[idx + 1], mvs[idx + 2]
         assoc = geometric_product(geometric_product(x, y), z) - geometric_product(
             x, geometric_product(y, z))
-        assert assoc.max_abs_coeff() <= 1e-10
+        assert max(map(abs, assoc.coeffs)) <= 1e-10
 
     for x in mvs:
         central = geometric_product(I_BLADE, x) - geometric_product(x, I_BLADE)
-        assert central.max_abs_coeff() <= 1e-10
-        assert (x.dual().dual() + x).max_abs_coeff() <= 1e-10
+        assert max(map(abs, central.coeffs)) <= 1e-10
+        assert max(map(abs, (x.dual().dual() + x).coeffs)) <= 1e-10
     for blade in BASIS_BLADES:
         diff = geometric_product(I_BLADE, blade) - geometric_product(blade, I_BLADE)
-        assert diff.max_abs_coeff() == 0.0
+        assert max(map(abs, diff.coeffs)) == 0.0
     assert geometric_product(I_BLADE, I_BLADE) == Multivector.scalar(-1.0)
 
     i, j, k = (QUATERNION_IMAGES[n] for n in ("i", "j", "k"))

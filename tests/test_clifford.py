@@ -90,7 +90,7 @@ def test_table_entries_are_unit_signs():
 def test_associativity(x, y, z):
     lhs = geometric_product(geometric_product(x, y), z)
     rhs = geometric_product(x, geometric_product(y, z))
-    assert (lhs - rhs).max_abs_coeff() <= 1e-10
+    assert max(map(abs, (lhs - rhs).coeffs)) <= 1e-10
 
 
 @given(multivectors, multivectors)
@@ -103,18 +103,18 @@ def test_product_agrees_with_matrix_oracle(x, y):
 @given(multivectors)
 def test_pseudoscalar_is_central(x):
     diff = geometric_product(I_BLADE, x) - geometric_product(x, I_BLADE)
-    assert diff.max_abs_coeff() <= 1e-12
+    assert max(map(abs, diff.coeffs)) <= 1e-12
 
 
 def test_pseudoscalar_central_on_blades_exactly():
     for blade in BASIS_BLADES:
         diff = geometric_product(I_BLADE, blade) - geometric_product(blade, I_BLADE)
-        assert diff.max_abs_coeff() == 0.0
+        assert max(map(abs, diff.coeffs)) == 0.0
 
 
 @given(directions)
 def test_vector_square_is_squared_norm(v):
-    mv = Multivector.from_vector(v)
+    mv = Multivector((0.0, *v, 0.0, 0.0, 0.0, 0.0))
     norm_sq = sum(c * c for c in v)
     assert geometric_product(mv, mv).approx_eq(Multivector.scalar(norm_sq), 1e-12)
 
@@ -205,7 +205,7 @@ def test_dot_vector_with_itself_is_scalar():
 @given(directions)
 def test_dot_equals_product_for_trivector_times_vector(n):
     # Both sides are the same pure bivector for mu = +-I.
-    mv = Multivector.from_vector(n)
+    mv = Multivector((0.0, *n, 0.0, 0.0, 0.0, 0.0))
     for sign in (1.0, -1.0):
         mu = Multivector.pseudoscalar(sign)
         assert dot(mu, mv) == geometric_product(mu, mv)
@@ -224,15 +224,15 @@ def test_wedge_self_is_zero():
 
 def test_wedge_in_plane_angle():
     theta = math.pi / 3
-    b = Multivector.from_vector((math.cos(theta), math.sin(theta), 0.0))
+    b = Multivector((0.0, math.cos(theta), math.sin(theta), 0.0, 0.0, 0.0, 0.0, 0.0))
     expected = mv_from(exy=math.sin(theta))
     assert wedge(E_X, b).approx_eq(expected)
 
 
 @given(directions, directions)
 def test_wedge_antisymmetric_on_vectors(a, b):
-    av, bv = Multivector.from_vector(a), Multivector.from_vector(b)
-    assert (wedge(av, bv) + wedge(bv, av)).max_abs_coeff() <= 1e-12
+    av, bv = (Multivector((0.0, *v, 0.0, 0.0, 0.0, 0.0)) for v in (a, b))
+    assert max(map(abs, (wedge(av, bv) + wedge(bv, av)).coeffs)) <= 1e-12
 
 
 # -- duality -----------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_dual_examples():
 
 @given(multivectors)
 def test_dual_involution_is_negation(x):
-    assert (x.dual().dual() + x).max_abs_coeff() <= 1e-12
+    assert max(map(abs, (x.dual().dual() + x).coeffs)) <= 1e-12
 
 
 # -- reverse -----------------------------------------------------------------
@@ -262,7 +262,7 @@ def test_reverse_sign_rule():
 def test_reverse_antiautomorphism(x, y):
     lhs = geometric_product(x, y).reverse()
     rhs = geometric_product(y.reverse(), x.reverse())
-    assert (lhs - rhs).max_abs_coeff() <= 1e-10
+    assert max(map(abs, (lhs - rhs).coeffs)) <= 1e-10
 
 
 # -- cross product as the dual of the wedge ----------------------------------
@@ -270,7 +270,8 @@ def test_reverse_antiautomorphism(x, y):
 
 def dual_wedge(a, b):
     """(a ^ b).dual() of two 3-vectors, checked to be a pure vector."""
-    via_duality = wedge(Multivector.from_vector(a), Multivector.from_vector(b)).dual()
+    av, bv = (Multivector((0.0, *v, 0.0, 0.0, 0.0, 0.0)) for v in (a, b))
+    via_duality = wedge(av, bv).dual()
     assert via_duality.grade(1) == via_duality
     return via_duality.coeffs[1:4]
 
@@ -351,7 +352,7 @@ def test_unit_vector_accepts_unit_and_rejects_others():
 
 def test_vector_embedding_roundtrip():
     v = (0.3, -0.4, 0.5)
-    mv = Multivector.from_vector(v)
+    mv = Multivector((0.0, *v, 0.0, 0.0, 0.0, 0.0))
     assert mv.grade(1) == mv
     assert mv.coeffs[1:4] == v
 

@@ -114,6 +114,17 @@ def test_expectation_rejects_a_non_hermitian_operator_in_a_stack():
     assert quantum.expectation(stack[[0, 2]], state).tolist() == [2.0, 2.0]
 
 
+def test_expectation_rejects_a_nan_operator():
+    # A NaN entry makes the imaginary part NaN, which no bound holds for.
+    op = np.eye(4, dtype=complex)
+    op[0, 0] = math.nan
+    state = quantum.product_state((1, 1))
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        quantum.expectation(op, state)
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        quantum.expectation(np.stack([np.eye(4, dtype=complex), op]), state)
+
+
 # -- singlet correlations --------------------------------------------------
 
 
@@ -218,6 +229,12 @@ def test_sequential_validates_inputs():
         quantum.sequential_probabilities(quantum.ket_z(1), [EZ], [2])
     with pytest.raises(ValueError):
         quantum.sequential_probabilities(np.array([1.0, 1.0], dtype=complex), [EZ], [1])
+
+
+@pytest.mark.parametrize("state", [[math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0]])
+def test_sequential_rejects_a_non_finite_state(state):
+    with pytest.raises(ValueError, match="state norm"):
+        quantum.sequential_probabilities(np.array(state), [EZ], [1])
 
 
 # -- product states ----------------------------------------------------------
