@@ -49,6 +49,7 @@ from .scenarios import (DEFAULT_GRID_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, Scenar
 FORMATS = ("table", "json", "csv")
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
+WRITE_BLOCK = 1 << 20  # characters encoded per write, so no second whole copy is held
 
 # The value of each flag left out; $BELLCHECK_SEED, when set, replaces the seed's.
 DEFAULTS = {"samples": DEFAULT_SAMPLES, "seed": DEFAULT_SEED,
@@ -210,18 +211,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bellcheck: error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
-    data = text.encode("utf-8")
+    blocks = (text[i:i + WRITE_BLOCK].encode("utf-8") for i in range(0, len(text), WRITE_BLOCK))
     try:
         if config.out is None:
             # Under python -u the binary layer is a raw file, whose write may
             # take only part of the data (a pipe closed mid-write): loop.
-            view = memoryview(data)
-            while view:
-                view = view[sys.stdout.buffer.write(view):]
+            for view in map(memoryview, blocks):
+                while view:
+                    view = view[sys.stdout.buffer.write(view):]
             sys.stdout.buffer.flush()
         else:
             with open(config.out, "wb") as handle:
-                handle.write(data)
+                handle.writelines(blocks)
     except OSError as exc:
         if config.out is None:
             # As Python's signal docs advise for a closed pipe: point stdout at

@@ -220,14 +220,17 @@ def batch_product(x, y, product: str = "geometric") -> np.ndarray:
     so each row equals the scalar product bit for bit when finite."""
     if product not in _TERMS:
         raise ValueError(f"product must be one of {tuple(_TERMS)}")
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if x.ndim != 2 or x.shape[1] != 8:
-        raise ValueError(f"expected (N, 8) coefficient arrays, got shape {x.shape}")
-    acc = np.zeros(x.shape)
-    live_x, live_y = x.any(axis=0), y.any(axis=0)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    if len(shape) != 2 or shape[1] != 8:
+        raise ValueError(f"expected (N, 8) coefficient arrays, got shape {shape}")
+    # An (8,) row is read as it is, its own liveness, and broadcasts term by term.
+    x, y = (v if v.shape == (8,) else np.broadcast_to(v, shape) for v in (x, y))
+    live_x, live_y = ((v != 0.0 if v.ndim == 1 else v.any(axis=0)).tolist() for v in (x, y))
+    acc = np.zeros(shape)
     for i, j, k, sign in _TERMS[product]:
         if live_x[i] and live_y[j]:
-            acc[:, k] += sign * x[:, i] * y[:, j]
+            acc[:, k] += sign * x[..., i] * y[..., j]
     return acc
 
 

@@ -26,32 +26,18 @@ import numpy as np
 from .clifford import BASIS_LABELS, Multivector
 
 
-def _fmt(x: float) -> str:
-    """The 12-significant-digit text of a float, as every report prints it."""
-    return f"{x:.12g}"
-
-
-def _json_number(x: float) -> str:
-    """JSON text of x rounded to 12 significant digits: the shortest repr of
-    the rounded value, with NaN and Infinity for non-finite values.
-
-    Exponent and non-finite forms are tested first, because repr writes
-    1e12 <= |x| < 1e16 in positional notation where _fmt uses an exponent."""
-    t = _fmt(x)
-    if "e" in t or "n" in t:
-        return json.dumps(float(t))
-    return t if "." in t else t + ".0"
-
-
 def _fmt_all(values: list[float]) -> list[str]:
-    """_fmt of each value: "%.12g" % x is the same text, made faster."""
+    """The 12-significant-digit text of each value, as every report prints it."""
     return ["%.12g" % x for x in values]
 
 
 def _json_numbers(values: list[float]) -> list[str]:
-    """_json_number of each value; plain positional text is kept as it is."""
-    return [t if "." in t and "e" not in t else _json_number(x)
-            for x, t in zip(values, _fmt_all(values))]
+    """JSON text of each value rounded to 12 significant digits: the shortest
+    repr of the rounded value, with NaN and Infinity for non-finite values.
+    Exponent and non-finite texts are parsed back, because repr writes
+    1e12 <= |x| < 1e16 in positional notation where %.12g uses an exponent."""
+    return [json.dumps(float(t)) if "e" in t or "n" in t else t if "." in t else t + ".0"
+            for t in _fmt_all(values)]
 
 
 @dataclass
@@ -132,7 +118,7 @@ class Section(Mapping):
     def __init__(self, entries: dict | list | None = None):
         self.blocks: list = []
         for block in entries if isinstance(entries, list) else [entries or {}]:
-            if (not any(":" in key for key in block) if isinstance(block, dict)
+            if (":" not in "".join(block) if isinstance(block, dict)
                     else len(set(block.labels)) == len(block.labels)):
                 self.blocks.append(block)
             else:
@@ -158,23 +144,28 @@ class Section(Mapping):
 
 
 def _render_rows(coeffs: np.ndarray) -> list[str]:
-    """Multivector(row).render() of each row of an (N, 8) coefficient array."""
+    """Multivector(row).render() of each row of an (N, 8) coefficient array;
+    with one live blade, "%.12g·<blade>" % c, signed as render() signs it."""
+    live = [(coeffs[:, k].tolist(), BASIS_LABELS[k]) for k in np.flatnonzero(coeffs.any(axis=0))]
+    if len(live) == 1:
+        form = "%.12g·" + live[0][1]
+        return [form % c if c else "0" for c in live[0][0]]
     terms = [[f" {'-' if c < 0 else '+'} {abs(c):.12g}·{label}" if c != 0.0 else "" for c in column]
-             for column, label in zip(coeffs.T.tolist(), BASIS_LABELS) if any(column)]
+             for column, label in live]
     return [(text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
             for text in map("".join, zip(*terms))] if terms else ["0"] * len(coeffs)
 
 
-def _grid_texts(grid: Grid, text: Callable, numbers: Callable) -> dict[str, list[str]]:
+def _grid_texts(grid: Grid, text: Callable, numbers: Callable, quote: Callable) -> dict:
     """Field -> text of each value in its column: numbers(list) of a float
-    array, "true"/"false" of a bool mask, text() of anything else, with a
-    coefficient array's rows rendered first.  A column that several fields
+    array, "true"/"false" of a bool mask, quote() of each row a coefficient
+    array renders, text() of anything else.  A column that several fields
     share is formatted once."""
     def texts(column) -> list[str]:
         if not isinstance(column, np.ndarray):
             return list(map(text, column))
         if column.ndim == 2:
-            return list(map(text, _render_rows(column)))
+            return list(map(quote, _render_rows(column)))
         if column.dtype == bool:
             return ["true" if v else "false" for v in column.tolist()]
         values = column.tolist()
@@ -187,11 +178,15 @@ def _grid_texts(grid: Grid, text: Callable, numbers: Callable) -> dict[str, list
 
 def _block_lines(block, prefix: str, quote: Callable, text: Callable,
                  numbers: Callable) -> Iterable[str]:
-    """'<prefix><quote(key)>: <text>' of each entry of a block, in key order."""
+    """'<prefix><quote(key)>: <text>' of each entry of a block, in key order;
+    quote (str or JSON's) escapes char by char, so a grid quotes each label once."""
     if isinstance(block, dict):
         return (f"{prefix}{quote(k)}: {text(v)}" for k, v in block.items())
-    columns = [[f"{prefix}{key}: {t}" for key, t in zip(map(quote, _grid_keys(block, f)), texts)]
-               for f, texts in _grid_texts(block, text, numbers).items()]
+    cut = len(quote("")) // 2  # 1 for JSON: drop a label's closing and ":<field>"'s opening mark
+    heads = [prefix + quote(label)[:-cut or None] for label in block.labels]
+    texts = _grid_texts(block, text, numbers, quote)
+    columns = [[f"{head}{tail}: {t}" for head, t in zip(heads, texts[f])]
+               for f in texts for tail in [quote(":" + f)[cut:]]]
     return itertools.chain.from_iterable(zip(*columns))
 
 
@@ -210,30 +205,29 @@ def _json_value(value, indent: str) -> str:
     Floats (numpy floats included) are rounded to 12 significant digits,
     numpy integers become ints and Multivectors their render() string."""
     if isinstance(value, (float, np.floating)):
-        return _json_number(float(value))
+        return _json_numbers([float(value)])[0]
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, Multivector):
-        return encode_basestring(value.render())
+    if isinstance(value, (str, Multivector)):
+        return encode_basestring(_text(value))
     if value is None:
         return "null"
     if isinstance(value, (dict, Section)):
         return _json_object(value.blocks if isinstance(value, Section) else [value], indent)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        items = ",\n".join([inner + _json_value(v, inner) for v in value])
-        return f"[\n{items}\n{indent}]" if items else "[]"
+        items = (_json_numbers(value) if all(isinstance(v, float) for v in value)
+                 else [_json_value(v, inner) for v in value])
+        return "[\n" + inner + (",\n" + inner).join(items) + f"\n{indent}]" if items else "[]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _text(value) -> str:
     """CSV and table text of one report value."""
     if isinstance(value, float):
-        return _fmt(value)
+        return "%.12g" % value
     if isinstance(value, Multivector):
         return value.render()
     if isinstance(value, bool):
@@ -242,30 +236,37 @@ def _text(value) -> str:
 
 
 def _param_text(value) -> str:
-    return " ".join(map(_text, value)) if isinstance(value, (list, tuple)) else _text(value)
+    if not isinstance(value, (list, tuple)):
+        return _text(value)
+    return " ".join(_fmt_all(value) if all(isinstance(v, float) for v in value) else map(_text, value))
 
 
 def _split_groups(report):
     """Report entries as a table of per-group rows, column by column, and
     a list of scenario-level (name, text) pairs.
 
-    Each Grid feeds one row per group label.  Each column starts with its
-    header: "point", the fields in order of first appearance, and
-    "verdict" (the group's verdicts that hold); the table is empty when no
-    key is grouped.
+    Each Grid feeds one row per group label, found once per label list, and
+    puts each column's texts at those rows.  Each column starts with its
+    header: "point", the fields in order of first appearance, and "verdict"
+    (the group's verdicts that hold); the table is empty when no key is grouped.
     """
     rows: dict[str, int] = {}
-    cells: dict[str, dict[int, str]] = {}  # field -> row -> text
+    at: dict[tuple, np.ndarray] = {}  # label list -> its rows, -1 for a verdict's unknown label
+    placed: dict[str, list] = {}  # field -> (rows, texts) of each grid holding it
     plain: list[tuple[str, str]] = []
+
+    def where(labels: list[str], row: Callable) -> np.ndarray:
+        key = tuple(labels)
+        return at[key] if key in at else at.setdefault(key, np.fromiter(map(row, labels), int))
 
     def file(blocks: list, prefix: str = "") -> None:
         for block in blocks:
             if isinstance(block, dict):
                 plain.extend((prefix + key, _text(value)) for key, value in block.items())
                 continue
-            at = [rows.setdefault(g, len(rows)) for g in block.labels]
-            for name, texts in _grid_texts(block, _text, _fmt_all).items():
-                cells.setdefault(name, {}).update(zip(at, texts))
+            at_rows = where(block.labels, lambda g: rows.setdefault(g, len(rows)))
+            for name, texts in _grid_texts(block, _text, _fmt_all, str).items():
+                placed.setdefault(name, []).append((at_rows, texts))
 
     file(report.exact_results.blocks)
     for key, m in report.mc_results.items():
@@ -275,34 +276,33 @@ def _split_groups(report):
                        f"{key}{sep}samples": str(m.samples)}))
     # keep grouped fields as-is; label scenario-level ones as references
     file(report.qm_reference.blocks, "qm.")
-    holding: dict[int, list[str]] = {}
+    holding = np.full(len(rows), "", dtype=object)  # "<verdict>;" of each that holds
     for block in report.verdicts.blocks:
         if isinstance(block, dict):
             plain.extend((key, _text(value)) for key, value in block.items())
             continue
-        at = [rows.get(g) for g in block.labels]
+        known = where(block.labels, lambda g: rows.get(g, -1))
         for name, column in block.columns.items():
-            for row, holds in zip(at, map(bool, _values(column))):
-                if holds and row is not None:
-                    holding.setdefault(row, []).append(name)
+            holds = np.fromiter(map(bool, _values(column)), bool, len(known))
+            holding[known[holds & (known >= 0)]] += name + ";"
 
     if not rows:
         return [], plain
-    every = range(len(rows))
-    return [["point", *rows], *([name, *map(cell.get, every, itertools.repeat(""))]
-                                for name, cell in cells.items()),
-            ["verdict", *map(";".join, map(holding.get, every, itertools.repeat(())))]], plain
+    table = [["point", *rows]]
+    for name, cells in placed.items():
+        texts = np.full(len(rows), "", dtype=object)
+        for at_rows, values in cells:
+            texts[at_rows] = values
+        table.append([name, *texts.tolist()])
+    return [*table, ["verdict", *[text[:-1] for text in holding.tolist()]]], plain
 
 
 def emit_csv(report) -> str:
     """The ScenarioReport as CSV: the per-group table, then name,value rows."""
     table, plain = _split_groups(report)
-    lines = list(map(",".join, zip(*table)))
-    if table and plain:
-        lines.append("")
+    lines = [*map(",".join, zip(*table)), *[""] * bool(table and plain)]
     if plain or not table:
-        lines.append("name,value")
-        lines.extend(f"{name},{value}" for name, value in plain)
+        lines += ["name,value", *(f"{name},{value}" for name, value in plain)]
     return "\n".join(lines) + "\n"
 
 
@@ -314,21 +314,12 @@ def emit_table(report, passed: bool) -> str:
         lines.extend(_block_lines(block, "  ", str, _param_text, _fmt_all))
 
     if table:
-        for column in table[:-1]:  # the last column's padding would be stripped
-            width = max(map(len, column))
-            column[:] = [text.ljust(width) for text in column]
-        lines.append("")
-        lines.extend("  ".join(row).rstrip() for row in zip(*table))
-
+        # Each column but the last padded to its width: that padding would be stripped.
+        form = "".join(f"%-{max(map(len, column))}s  " for column in table[:-1]) + "%s"
+        lines += ["", *((form % row).rstrip() for row in zip(*table))]
     if plain:
-        lines.append("")
-        lines.append("results:")
-        for name, value in plain:
-            lines.append(f"  {name}: {value}")
-
-    lines.append("")
-    lines.append(f"gate: {'PASS' if passed else 'FAIL'}")
+        lines.extend(["", "results:", *(f"  {name}: {value}" for name, value in plain)])
+    lines += ["", f"gate: {'PASS' if passed else 'FAIL'}"]
     if "consistent_assignments" in report.exact_results:
-        count = int(report.exact_results["consistent_assignments"])
-        lines.append(f"consistent assignments: {count}")
+        lines.append(f"consistent assignments: {int(report.exact_results['consistent_assignments'])}")
     return "\n".join(lines) + "\n"

@@ -197,7 +197,8 @@ class ScenarioReport:
         """(block, field, values, designation) of each verdict column, a
         plain verdict being a dict block's column of one.  A designation is
         True, False, INFO or a sequence of one of those per value."""
-        gates = GATES.get((self.scenario_name, self.parameters.get("model")), {})
+        variant = (self.scenario_name, self.parameters.get("model"))  # matched by ==: may hold a list
+        gates = next((g for key, g in GATES.items() if key == variant), {})
         for block in self.verdicts.blocks:
             grid = isinstance(block, Grid)
             for field, values in (block.columns.items() if grid
@@ -658,9 +659,13 @@ def run_constraint_check(direction_pairs) -> ScenarioReport:
     normalized_ok = _close(audit.square_avg, ONE.coeffs).all(axis=1)
 
     groups = [f"pair[{i}]" for i in range(len(pairs))]
-    # "%.12g" % x is the _fmt text of x
-    pair_texts = ["a=(%.12g; %.12g; %.12g) b=(%.12g; %.12g; %.12g)" % tuple(row)
-                  for row in pairs.reshape(-1, 6).tolist()]
+    # The %.12g text of each coordinate; a column of one bit pattern goes into the form once.
+    flat = pairs.reshape(-1, 6)
+    columns = list(zip(flat.T.tolist(), (flat.view(np.int64) == flat[0].view(np.int64)).all(axis=0)))
+    form = "a=(%s; %s; %s) b=(%s; %s; %s)" % tuple(
+        "%.12g" % column[0] if same else "%.12g" for column, same in columns)
+    pair_texts = ([form % row for row in zip(*(column for column, same in columns if not same))]
+                  or [form] * len(pairs))
     return ScenarioReport(
         scenario_name="constraint-check",
         parameters=[{"meter_a_def_sign": meter.def_sign, "meter_b_def_sign": meter.def_sign,

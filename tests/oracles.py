@@ -164,7 +164,8 @@ def _text(value) -> str:
 
 def ref_designations(report):
     """The GATES value of each verdict, in verdict order."""
-    gates = GATES.get((report.scenario_name, report.parameters.get("model")), {})
+    variant = (report.scenario_name, report.parameters.get("model"))
+    gates = next((g for key, g in GATES.items() if key == variant), {})
     wants = [gates.get(name.rpartition(":")[2], True) for name in report.verdicts]
     for rule in filter(callable, gates.values()):
         groups = [n.rpartition(":")[0] for n, w in zip(report.verdicts, wants) if w is rule]

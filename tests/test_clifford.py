@@ -127,8 +127,9 @@ PRODUCTS = {
     "wedge": (wedge, lambda r, s, k: k == r + s),
 }
 
-# Rows with exact zeros mixed in, so the scalar loop's zero skipping is hit.
-sparse_coeff = st.one_of(st.just(0.0), st.just(-0.0), coeff)
+# Rows with exact zeros and subnormals mixed in, so the scalar loop's zero
+# skipping is hit.
+sparse_coeff = st.one_of(st.just(0.0), st.just(-0.0), st.just(-5e-324), coeff)
 coeff_rows = st.lists(st.tuples(*([sparse_coeff] * 8)), min_size=1, max_size=4)
 
 
@@ -145,6 +146,11 @@ def test_batch_product_matches_scalar_bit_for_bit(product, xs, ys):
         assert [c.hex() for c in row] == [c.hex() for c in want]
         ref = oracles.ref_graded_product(x, y, keep)
         assert max(abs(a - b) for a, b in zip(row, ref)) <= 1e-12
+    # A lone (8,) row on either side broadcasts, its liveness read from itself.
+    lone_x = batch_product(np.array(xs[0]), np.array(ys), product).tolist()
+    lone_y = batch_product(np.array(xs), np.array(ys[0]), product).tolist()
+    for got, x, y in [*zip(lone_x, [xs[0]] * n, ys), *zip(lone_y, xs, [ys[0]] * n)]:
+        assert [c.hex() for c in got] == [c.hex() for c in scalar(Multivector(x), Multivector(y)).coeffs]
 
 
 def test_batch_product_broadcasts_a_single_row():
@@ -363,6 +369,10 @@ def test_render_format():
     assert mv_from(s=1.0, eyz=-0.25).render() == "1·s - 0.25·eyz"
     # 12 significant digits
     assert mv_from(ex=1 / 3).render() == "0.333333333333·ex"
+    # -0.0 is a zero term; NaN is written unsigned, infinities and subnormals signed.
+    assert mv_from(ex=-0.0).render() == "0"
+    assert mv_from(ey=-math.inf, I=-math.nan).render() == "-inf·ey + nan·I"
+    assert mv_from(s=math.inf, ez=-5e-324).render() == "inf·s - 4.94065645841e-324·ez"
 
 
 def test_multivector_requires_eight_coefficients():

@@ -10,10 +10,11 @@ import os
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from bellcheck import cli
+from bellcheck import cli, scenarios
 from bellcheck.report import emit_csv, emit_table
 from bellcheck.scenarios import ScenarioReport
 from test_golden import DEFAULTS
@@ -89,6 +90,35 @@ def test_parallel_designation_reads_the_recorded_pair_text():
     assert [report.expected[f"pair[{i}]:commutator_zero"] for i in range(4)] == [
         True, True, True, False]
     assert _read_back(report).expected == report.expected
+
+
+@pytest.fixture(scope="module")
+def large_constraint_check() -> ScenarioReport:
+    return _report(("constraint-check", "--angles", "0:3.14159:0.0001"))
+
+
+def test_parallel_designation_parses_the_31416_pair_texts_as_floats(large_constraint_check):
+    parameters = large_constraint_check.parameters
+    groups = [f"pair[{i}]" for i in range(parameters["n_pairs"])]
+    assert len(groups) == 31_416
+    text = " ".join(parameters[g] for g in groups).translate(str.maketrans("", "", "ab=();"))
+    a, b = np.array(text.split(), dtype=float).reshape(-1, 2, 3).transpose(1, 0, 2)
+    want = (np.abs(2.0 * np.cross(a, b)) <= scenarios.EXACT_TOL).all(axis=1)
+    got = scenarios._parallel_pairs(parameters, groups)
+    assert got.tolist() == want.tolist()
+    assert np.flatnonzero(got).tolist() == [0]  # theta = 0 alone; the grid stops short of pi
+
+
+@pytest.mark.parametrize("pair, mangled", [
+    (17_000, "a=(0; 0; 1) b=(0.96x1; 0; -0.27)"),  # a letter inside a number
+    (31_415, "a=(0; 0; 1) b=(0.5; 0)"),  # a coordinate missing
+    (0, ""),
+])
+def test_a_mangled_pair_text_read_back_makes_the_gate_raise(large_constraint_check, pair, mangled):
+    data = large_constraint_check.to_json_dict()
+    data["parameters"][f"pair[{pair}]"] = mangled
+    with pytest.raises(ValueError):
+        ScenarioReport.from_json_dict(data).gate_passed()
 
 
 # -- bounded CLI fuzz --------------------------------------------------------

@@ -17,10 +17,14 @@ value, in verdict order) of the defaults and of the 31,416-point
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bellcheck
 from bellcheck import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,6 +116,29 @@ def test_default_text_output_hash(fmt, name, tmp_path):
 def test_large_grid_output_hash(name, tmp_path):
     args, digest = LARGE_GRIDS[name]
     assert hashlib.sha256(_run(args, tmp_path)).hexdigest() == digest
+
+
+# One-point grids, where every column (each pair coordinate, each blade of
+# each coefficient array) holds one bit pattern.  Each runs in a child with
+# a timeout, so a writer that loops without end fails instead of hanging.
+CONSTANT_GRID_DIGESTS = {
+    ("constraint-check", "csv"): "8d42267f265378a88c8982a9993bcc97c166fd39c36628bc096bbb0e05648f4d",
+    ("constraint-check", "json"): "1c12a8873a53967e65a6d22bb7b5b78e40ad671561e4d130f953e3ab835edd27",
+    ("constraint-check", "table"): "d7cbcaa38cb270b906adb0632145780ece15a84c4cc12e034411dc149a050dd9",
+    ("epr-scan", "csv"): "0a9b40f2c2484f31a956c5739d7c1c8a9e603f23eec3ceb20260a8a0554cd442",
+    ("epr-scan", "json"): "51f4c217d6874f4a23d790734edcb9dc1c14dc859c1ab37ed3f52ef03cd793b6",
+    ("epr-scan", "table"): "05920872d273185febc4dbad3cb054f7645ece8a7da7e60ee9f192ca78cca1b1",
+}
+
+
+@pytest.mark.parametrize("scenario, fmt", sorted(CONSTANT_GRID_DIGESTS))
+def test_constant_column_grid_finishes_with_the_pinned_output(scenario, fmt):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bellcheck.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "bellcheck.cli", "run", scenario,
+                           "--angles", "0:0:1", "--format", fmt],
+                          env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == CONSTANT_GRID_DIGESTS[scenario, fmt]
 
 
 DESIGNATION_ARGS = {

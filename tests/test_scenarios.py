@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from bellcheck import scenarios
-from bellcheck.report import Grid, _grid_keys, _items, _json_number, emit_csv, emit_table
+from bellcheck.report import (Grid, _grid_keys, _items, _json_numbers, _render_rows, emit_csv,
+                              emit_table)
 from bellcheck.clifford import Multivector
 from bellcheck.models import CHUNK, MeterModel, UpdateRule
 from bellcheck.scenarios import (
@@ -376,6 +377,15 @@ def test_constraint_check_takes_pairs_or_an_array():
     assert run_constraint_check(pairs).to_json() == run_constraint_check(np.array(pairs)).to_json()
 
 
+def test_constraint_check_pair_texts_keep_each_zero_sign():
+    # A coordinate column is written once only when it holds one bit
+    # pattern, so 0.0 and -0.0 in one column each keep their text.
+    b = [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0)]
+    report = run_constraint_check([(EZ, v) for v in b])
+    assert [report.parameters[f"pair[{i}]"] for i in range(3)] == [
+        "a=(0; 0; 1) b=(0; 0; 1)", "a=(0; 0; 1) b=(-0; 0; 1)", "a=(0; 0; 1) b=(0; -0; 1)"]
+
+
 def test_xz_scan_is_ez_with_the_dirs_xz_rows():
     want = np.array([(scenarios.E_Z, b) for b in _dirs_xz(GRID_37).tolist()])
     got = scenarios.xz_scan(GRID_37)
@@ -448,10 +458,44 @@ def test_report_json_roundtrip():
 @example(9.99999999999999e-5)
 @example(1e-5)
 def test_json_number_is_the_repr_of_the_rounded_value(x):
-    assert _json_number(x) == json.dumps(float(f"{x:.12g}"))
+    assert _json_numbers([x]) == [json.dumps(float(f"{x:.12g}"))]
 
 
 _FLOATS = st.floats(width=64)
+
+# Coefficients whose text needs care: signed zeros, NaN of either sign bit,
+# infinities, subnormals and a value that rounds at the 12th digit.
+_SPECIAL = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, -1e-310, -1 / 3]
+
+
+def _rendered(coeffs):
+    return [Multivector(row).render() for row in coeffs.tolist()]
+
+
+@pytest.mark.parametrize("blade", range(8))
+def test_render_rows_of_one_live_blade_match_render(blade):
+    coeffs = np.zeros((len(_SPECIAL), 8))
+    coeffs[:, blade] = _SPECIAL
+    assert _render_rows(coeffs) == _rendered(coeffs)
+    coeffs[:, blade] = -0.0  # a blade holding only -0.0 is not live
+    assert _render_rows(coeffs) == ["0"] * len(_SPECIAL)
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.zeros((3, 8)), np.zeros((0, 8)),
+    np.array([[-0.0, math.nan, 0.0, -math.inf, 5e-324, 0.0, -1e-310, 1.0],
+              [0.0, -math.nan, -0.0, 0.0, -5e-324, 0.0, 0.0, -2.0],
+              [0.0] * 8]),
+], ids=["zeros", "empty", "several-blades"])
+def test_render_rows_of_zero_and_several_blade_arrays_match_render(coeffs):
+    assert _render_rows(coeffs) == _rendered(coeffs)
+
+
+@given(st.lists(st.lists(st.sampled_from(_SPECIAL) | _FLOATS, min_size=8, max_size=8),
+                max_size=5))
+def test_render_rows_match_render(rows):
+    coeffs = np.array(rows, dtype=float).reshape(-1, 8)
+    assert _render_rows(coeffs) == _rendered(coeffs)
 _SCALARS = st.one_of(
     _FLOATS,
     _FLOATS.map(np.float64),
