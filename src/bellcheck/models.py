@@ -173,27 +173,23 @@ def batch_constraint_check(meter_a: MeterModel, meter_b: MeterModel,
 # -- Bell's scalar toy model -------------------------------------------------
 
 
-def random_unit_vectors(rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, 3) array of directions uniform on the sphere."""
-    draws = rng.normal(size=(size, 3))
-    norms = row_norms(draws)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        draws[bad] = rng.normal(size=(int(bad.sum()), 3))
-        norms = row_norms(draws)
-    return np.divide(draws, norms[:, None], out=draws)
+def random_unit_vectors(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Directions uniform on the sphere, drawn into the C-contiguous float64
+    (k, 3) buffer `out` and normalised in place; returns `out`."""
+    norms = row_norms(rng.standard_normal(out=out))
+    while (bad := norms < 1e-12).any():
+        out[bad] = rng.standard_normal((np.count_nonzero(bad), 3))
+        norms = row_norms(out)
+    return np.divide(out, norms[:, None], out=out)
 
 
-def hemisphere_samples(n: Vec3, outcome: int, rng: np.random.Generator,
-                       size: int) -> np.ndarray:
-    """(size, 3) lambdas uniform on the hemisphere {outcome * (n.lam) > 0}."""
-    n = unit_vector(n)
-    if outcome not in (1, -1):
-        raise ValueError("outcome must be +1 or -1")
-    lams = random_unit_vectors(rng, size)
-    axis = np.asarray(n)
-    wrong_side = (lams @ axis) * outcome < 0.0
-    np.negative(lams, out=lams, where=wrong_side[:, None])
+def hemisphere_samples(pole: Vec3, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """`random_unit_vectors` into `out`, on the hemisphere {pole.lam > 0}."""
+    axis = np.asarray(unit_vector(pole))
+    lams = random_unit_vectors(rng, out)
+    # A row times -1.0 is its negation; + 0.0 leaves a row with pole.lam = -0.0 unflipped.
+    side = lams @ axis + 0.0
+    lams *= np.copysign(1.0, side, out=side)[:, None]
     return lams
 
 
@@ -203,13 +199,16 @@ CHUNK = 65_536  # most rows in one draw of lambda_chunks: 1.5 MB of float64
 def lambda_chunks(rng: np.random.Generator, size: int,
                   pole: Vec3 | None = None) -> Iterator[np.ndarray]:
     """`size` lambdas in consecutive (k, 3) chunks, k <= CHUNK, uniform on the
-    sphere, or on the hemisphere {pole.lam > 0} when a pole is given.  They
-    take the stream of one whole-batch draw, except that a near-zero-norm
-    normal triple is redrawn at the end of its chunk, not of the batch; the
-    streams differ only if one occurs, with probability about 3e-37 per sample."""
+    sphere, or on the hemisphere {pole.lam > 0} when a pole is given, all
+    drawn into one buffer: a chunk is valid only until the next is drawn.
+    They take the stream of one whole-batch draw, except that a near-zero-norm
+    normal triple is redrawn at the end of its chunk, not of the batch (about
+    3e-37 per sample).  CHUNK is part of the report bytes: bell-toy's means,
+    merged chunk by chunk, round once per chunk."""
+    buffer = np.empty((min(CHUNK, size), 3))
     for start in range(0, size, CHUNK):
-        k = min(CHUNK, size - start)
-        yield random_unit_vectors(rng, k) if pole is None else hemisphere_samples(pole, 1, rng, k)
+        out = buffer[:size - start]
+        yield random_unit_vectors(rng, out) if pole is None else hemisphere_samples(pole, rng, out)
 
 
 # -- post-measurement update rules -------------------------------------------

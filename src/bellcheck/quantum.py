@@ -17,6 +17,7 @@ import numpy as np
 from .clifford import unit_vectors
 
 STATE_TOL = 1e-12
+SINGLET_BLOCK = 4096  # rows of batch_singlet_correlation per block: 1 MB of operators
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -87,15 +88,19 @@ def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
 
 def batch_singlet_correlation(a, b) -> np.ndarray:
     """`singlet_correlation` for each row pair of two (N, 3) direction
-    arrays, still a dense-state computation: the singlet state is built
-    once per call and the (N, 4, 4) operators (a.sigma) x (b.sigma) are
-    applied to it."""
-    a_ops, b_ops = batch_spin_op(a), batch_spin_op(b)
-    if a_ops.shape != b_ops.shape:
+    arrays, still a dense-state computation: the singlet state is built once
+    and the (4, 4) operators (a.sigma) x (b.sigma) are applied to it
+    SINGLET_BLOCK rows at a time, so the working set does not grow with N."""
+    a, b = unit_vectors(a), unit_vectors(b)
+    if a.shape != b.shape:
         raise ValueError("direction arrays must have the same length")
-    # Row-wise Kronecker product, left factor as the slower index.
-    ops = (a_ops[:, :, None, :, None] * b_ops[:, None, :, None, :]).reshape(-1, 4, 4)
-    return expectation(ops, singlet_state())
+    state, values = singlet_state(), np.empty(len(a))
+    for rows in (slice(k, k + SINGLET_BLOCK) for k in range(0, len(a), SINGLET_BLOCK)):
+        a_ops, b_ops = batch_spin_op(a[rows]), batch_spin_op(b[rows])
+        # Row-wise Kronecker product, left factor as the slower index.
+        ops = (a_ops[:, :, None, :, None] * b_ops[:, None, :, None, :]).reshape(-1, 4, 4)
+        values[rows] = expectation(ops, state)
+    return values
 
 
 def sequential_probabilities(state: np.ndarray,

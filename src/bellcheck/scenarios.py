@@ -230,14 +230,8 @@ class ScenarioReport:
             "scenario_name": self.scenario_name,
             "parameters": self.parameters,
             "exact_results": self.exact_results,
-            "mc_results": {
-                k: {
-                    "estimate": float(m.estimate),
-                    "standard_error": float(m.standard_error),
-                    "samples": int(m.samples),
-                }
-                for k, m in self.mc_results.items()
-            },
+            "mc_results": {k: {"estimate": float(m.estimate), "standard_error": float(m.standard_error),
+                               "samples": int(m.samples)} for k, m in self.mc_results.items()},
             "qm_reference": self.qm_reference,
             "verdicts": self.verdicts,
             "seed": int(self.seed),
@@ -712,6 +706,7 @@ def run_bell_toy(samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> Sc
         m2 = m2 + k * cols.var(axis=0) + delta ** 2 * (n * k / (n + k))
         n, means = n + k, means + delta * (k / (n + k))
         support += int(np.count_nonzero(lams[:, 2] > 0.0))
+    del lams, cols  # lams, the last chunk, holds the stream's buffer: free it before the next draws
     cos, transverse = (McResult(float(m), math.sqrt(s / (n - 1)) / math.sqrt(n), n)
                        for m, s in zip(means, m2))
     z_up, zx_up = map(sum, zip(*map(_static_posterior, lambda_chunks(rng, samples))))

@@ -82,6 +82,6 @@ DEFECTS = {
     "bell-toy-full-sphere-sampler": (
         ["bell-toy"],
         lambda: _patched("hemisphere_samples",
-                         lambda real, n, outcome, rng, size: models.random_unit_vectors(rng, size)),
+                         lambda real, pole, rng, out: models.random_unit_vectors(rng, out)),
         {"hemisphere_mean_cos_ok", "hemisphere_support_ok"}),
 }

@@ -7,6 +7,7 @@ import pytest
 from bellcheck import scenarios
 from bellcheck.clifford import Multivector, row_norms
 from bellcheck.models import (
+    CHUNK,
     FLIPPED,
     NATURAL,
     HiddenState,
@@ -22,6 +23,7 @@ from bellcheck.models import (
     effective_outcome,
     expectation_over_mu,
     hemisphere_samples,
+    lambda_chunks,
     meter_outcome,
     observable_value,
     pair_product,
@@ -32,6 +34,7 @@ import oracles
 
 EZ = (0.0, 0.0, 1.0)
 EX = (1.0, 0.0, 0.0)
+POLES = [None, EZ, EX, (2 / 3, -1 / 3, 2 / 3)]  # None: the whole sphere
 
 METER_A = MeterModel()
 METER_B_OPPOSITE = MeterModel(def_sign=-1)
@@ -346,31 +349,34 @@ def test_bell_observable_odd_under_lambda_negation(rng):
         assert sign_reading(a, lam) == -sign_reading(a, neg)
     # Off the measure-zero ties, a lambda reads up along z exactly when
     # its negation reads down.
-    lams = random_unit_vectors(rng, 1_000)
+    lams = random_unit_vectors(rng, np.empty((1_000, 3)))
     up, down = (posterior_rows(x)[0] for x in (lams, -lams))
     assert len(up) + len(down) == len(lams)
     assert np.all(lams[up, 2] > 0.0) and np.all(-lams[down, 2] > 0.0)
 
 
 def test_hemisphere_marginals(rng):
-    lams = hemisphere_samples(EZ, 1, rng, 100_000)
+    lams = hemisphere_samples(EZ, rng, np.empty((100_000, 3)))
     assert abs(float(lams[:, 2].mean()) - 0.5) <= 0.01
     assert float((lams[:, 2] > 0.0).mean()) == 1.0
     assert abs(float(lams[:, 0].mean())) <= 0.01
 
 
 def test_hemisphere_support_for_any_pole_and_outcome(rng):
+    # The hemisphere of outcome -1 along n is that of the pole -n.
     for outcome in (1, -1):
         n = random_direction(rng)
-        lams = hemisphere_samples(n, outcome, rng, 2_000)
+        lams = hemisphere_samples(tuple(outcome * c for c in n), rng, np.empty((2_000, 3)))
         dots = lams @ np.asarray(n)
         assert np.all(outcome * dots > 0.0)
         norms = np.linalg.norm(lams, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
+    with pytest.raises(ValueError):
+        hemisphere_samples((0.0, 0.0, 2.0), rng, np.empty((2, 3)))
 
 
 def test_random_unit_vectors_are_unit(rng):
-    vs = random_unit_vectors(rng, 1_000)
+    vs = random_unit_vectors(rng, np.empty((1_000, 3)))
     assert np.max(np.abs(np.linalg.norm(vs, axis=1) - 1.0)) <= 1e-12
 
 
@@ -387,13 +393,71 @@ def test_row_norms_are_linalg_norm_bit_for_bit(scale):
 @pytest.mark.parametrize("seed", [42, 17, 3])
 def test_samplers_match_the_reference_bit_for_bit(seed):
     def draws(sampler, *args):
+        return sampler(*args, np.random.default_rng(seed), np.empty((50_000, 3))).tobytes()
+
+    def ref_draws(sampler, *args):
         return sampler(*args, np.random.default_rng(seed), 50_000).tobytes()
 
-    assert draws(random_unit_vectors) == draws(oracles.ref_random_unit_vectors)
-    for pole in (EZ, EX, (2 / 3, -1 / 3, 2 / 3)):
+    assert draws(random_unit_vectors) == ref_draws(oracles.ref_random_unit_vectors)
+    for pole in POLES[1:]:
         for outcome in (1, -1):
-            assert (draws(hemisphere_samples, pole, outcome)
-                    == draws(oracles.ref_hemisphere_samples, pole, outcome))
+            assert (draws(hemisphere_samples, tuple(outcome * c for c in pole))
+                    == ref_draws(oracles.ref_hemisphere_samples, pole, outcome))
+
+
+@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("pole", POLES)
+def test_lambda_chunks_are_the_whole_batch_draw(size, pole):
+    # Copies, since each chunk is overwritten by the next draw.
+    chunks = [lams.copy() for lams in lambda_chunks(np.random.default_rng(7), size, pole)]
+    assert [len(c) for c in chunks] == [min(CHUNK, size - s) for s in range(0, size, CHUNK)]
+    rng = np.random.default_rng(7)
+    want = (oracles.ref_random_unit_vectors(rng, size) if pole is None
+            else oracles.ref_hemisphere_samples(pole, 1, rng, size))
+    assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pole", POLES)
+def test_lambda_chunks_draw_into_one_buffer(pole):
+    stream = lambda_chunks(np.random.default_rng(7), 2 * CHUNK + 5, pole)
+    first = next(stream)
+    kept = first.copy()
+    second = next(stream)
+    assert np.shares_memory(first, second) and first.base is second.base
+    assert first.tobytes() == second.tobytes() != kept.tobytes()
+    last = next(stream)
+    assert last.shape == (5, 3) and np.shares_memory(last, first)
+
+
+class _ZeroFirstTriple:
+    """A Generator whose first normal triple is (0, 0, 0), then the real stream."""
+
+    def __init__(self, seed: int):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def standard_normal(self, size=None, out=None):
+        self.calls.append(size if out is None else out.shape)
+        draws = self.rng.standard_normal(size, out=out)
+        if len(self.calls) == 1:
+            draws[0] = 0.0
+        return draws
+
+
+@pytest.mark.parametrize("pole", POLES)
+def test_zero_norm_triple_is_redrawn_into_the_buffer(pole):
+    size = CHUNK + 3
+    stub = _ZeroFirstTriple(11)
+    chunks = [lams.copy() for lams in lambda_chunks(stub, size, pole)]
+    assert stub.calls == [(CHUNK, 3), (1, 3), (3, 3)]
+    # The redrawn row is the stream's next triple; the rest of the stream follows it.
+    rng = np.random.default_rng(11)
+    normals = rng.standard_normal((size + 1, 3))
+    rows = np.concatenate([normals[CHUNK:CHUNK + 1], normals[1:CHUNK], normals[CHUNK + 1:]])
+    want = rows / np.linalg.norm(rows, axis=1)[:, None]
+    if pole is not None:
+        want[want @ np.asarray(pole) < 0.0] *= -1.0
+    assert np.concatenate(chunks).tobytes() == want.tobytes()
+    assert np.max(np.abs(np.linalg.norm(want, axis=1) - 1.0)) <= 1e-12
 
 
 # -- update rules ---------------------------------------------------------

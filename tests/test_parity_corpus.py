@@ -1,5 +1,6 @@
-"""tools/parity_corpus.txt names every registry variant in every format and
-the three seeded Monte Carlo false alarms.  The parity tool itself is not run
+"""tools/parity_corpus.txt names every registry variant in every format,
+sample counts that straddle the lambda chunk and the three seeded Monte
+Carlo false alarms.  The parity tool itself is not run
 here: it starts two processes per line."""
 
 import importlib.util
@@ -8,6 +9,7 @@ import os
 import pytest
 
 from bellcheck import cli
+from bellcheck.models import CHUNK
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 _spec = importlib.util.spec_from_file_location("parity", os.path.join(TOOLS, "parity.py"))
@@ -21,20 +23,27 @@ FALSE_ALARMS = (
 )
 
 
+MC_VARIANTS = (("chsh", None), ("sequential", "bell-static"), ("sequential", "bell-hemisphere"),
+               ("bell-toy", None))
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return parity.read_corpus()
 
 
-def test_corpus_runs_every_variant_in_every_format(corpus, monkeypatch, capsys):
-    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-    covered = set()
+def _parsed(corpus):
+    """The parsed arguments of each corpus line that is not a usage refusal."""
     for env, args in corpus:
         try:
-            ns = cli.parse_args(["run", *args])
+            yield env, cli.parse_args(["run", *args])
         except SystemExit:
             continue  # a usage refusal, which the corpus holds on purpose
-        covered.add((ns.scenario, ns.mode, ns.format))
+
+
+def test_corpus_runs_every_variant_in_every_format(corpus, monkeypatch, capsys):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    covered = {(ns.scenario, ns.mode, ns.format) for _, ns in _parsed(corpus)}
     capsys.readouterr()
     assert covered >= {(*variant, fmt) for variant in cli.REGISTRY for fmt in cli.FORMATS}
     assert len(corpus) >= 100
@@ -43,3 +52,14 @@ def test_corpus_runs_every_variant_in_every_format(corpus, monkeypatch, capsys):
 @pytest.mark.parametrize("alarm", FALSE_ALARMS)
 def test_corpus_holds_each_false_alarm(corpus, alarm):
     assert any(not env and " ".join(args).startswith(alarm) for env, args in corpus)
+
+
+@pytest.mark.parametrize("variant", MC_VARIANTS)
+def test_corpus_straddles_the_lambda_chunk(corpus, variant, monkeypatch, capsys):
+    # JSON prints bell-toy's chunk-merged means to 12 digits; a partial last
+    # chunk after full ones checks the reused buffer's short final view.
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    samples = {ns.samples for env, ns in _parsed(corpus)
+               if not env and (ns.scenario, ns.mode) == variant and ns.format == "json"}
+    capsys.readouterr()
+    assert {CHUNK + 1, 3 * CHUNK + 5} <= samples

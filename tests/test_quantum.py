@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bellcheck import quantum
+from bellcheck import quantum, scenarios
 
 EZ = (0.0, 0.0, 1.0)
 EX = (1.0, 0.0, 0.0)
@@ -171,6 +172,26 @@ def test_batch_singlet_correlation_matches_scalar_and_minus_dot(rng):
         assert abs(value - dense) <= 1e-12
         assert abs(value - quantum.singlet_correlation(tuple(x), tuple(y))) <= 1e-12
         assert abs(value + float(x @ y)) <= 1e-12
+
+
+def test_batch_singlet_correlation_blocks_are_the_whole_stack():
+    # The 31,416 epr-scan pairs of the exact-grid benchmark span eight blocks;
+    # each value is bit for bit that of the unblocked (N, 4, 4) stack.
+    a, b = scenarios.xz_scan(scenarios.closed_grid(0.0, 3.14159, 0.0001)).transpose(1, 0, 2)
+    assert len(a) == 31_416 > 7 * quantum.SINGLET_BLOCK
+    a_ops, b_ops = quantum.batch_spin_op(a), quantum.batch_spin_op(b)
+    stack = (a_ops[:, :, None, :, None] * b_ops[:, None, :, None, :]).reshape(-1, 4, 4)
+    whole = quantum.expectation(stack, quantum.singlet_state())
+    del a_ops, b_ops, stack
+    tracemalloc.start()
+    try:
+        blocked = quantum.batch_singlet_correlation(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocked.tobytes() == whole.tobytes()
+    # The whole stack peaked at 14.6 MB; the blocks measure 3.1 MB.
+    assert peak < 5e6, peak
 
 
 def test_batch_spin_op_matches_scalar(rng):

@@ -690,6 +690,11 @@ def test_streamed_mc_matches_whole_batch(scenario, samples):
                 f"{estimate:.12g}", f"{standard_error:.12g}"), name
 
 
+# Traced Python peak of each runner at 1,000,000 samples: measured 2.63, 2.62,
+# 2.76 and 3.68 MB with one reused lambda buffer per stream, plus a 0.8 MB margin.
+MC_PEAK_BOUNDS = {"chsh": 3.5e6, "bell-static": 3.5e6, "bell-hemisphere": 3.5e6, "bell-toy": 4.5e6}
+
+
 @pytest.mark.parametrize("scenario", MC_RUNNERS)
 def test_mc_memory_does_not_grow_with_samples(scenario):
     peaks = []
@@ -700,8 +705,8 @@ def test_mc_memory_does_not_grow_with_samples(scenario):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 16e6, peaks
-    assert abs(peaks[1] - peaks[0]) <= 4e6, peaks
+    assert peaks[1] < MC_PEAK_BOUNDS[scenario], peaks
+    assert abs(peaks[1] - peaks[0]) <= 1e6, peaks
 
 
 def test_gate_fails_when_expected_verdict_differs():
