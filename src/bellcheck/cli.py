@@ -2,8 +2,9 @@
 
     bellcheck run <scenario> [FLAGS] [--seed S] [--format table|json|csv] [--out PATH]
 
-REGISTRY lists each scenario/mode (the first mode listed is the default) and
-the FLAGS it reads.  Any other flag is a usage error (exit 2):
+scenarios.REGISTRY lists each scenario/mode (the first mode listed is the
+default), the FLAGS it reads and its runner; WRITERS holds one writer per
+--format.  Any other flag is a usage error (exit 2):
 
     epr-scan [--mode original|anticorrelated]    --angles START:STOP:STEP
     chsh                                         --samples N
@@ -34,19 +35,18 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
 
 # Set before numpy is first imported: the only BLAS calls, (k, 3) @ (3,) and 4x4
 # products, are too small to use the thread pool OpenBLAS would start.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import scenarios
-from .models import UpdateRule
 from .report import emit_csv, emit_table
-from .scenarios import (DEFAULT_GRID_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, ScenarioReport,
-                        closed_grid)
+from .scenarios import DEFAULT_GRID_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, ScenarioReport
 
-FORMATS = ("table", "json", "csv")
+# --format -> its writer of (report, whether the gate passed).
+WRITERS = {"table": emit_table, "json": lambda report, _: report.to_json(),
+           "csv": lambda report, _: emit_csv(report)}
 
 SEED_ENV_VAR = "BELLCHECK_SEED"
 WRITE_BLOCK = 1 << 20  # characters encoded per write, so no second whole copy is held
@@ -55,50 +55,6 @@ WRITE_BLOCK = 1 << 20  # characters encoded per write, so no second whole copy i
 DEFAULTS = {"samples": DEFAULT_SAMPLES, "seed": DEFAULT_SEED,
             "angles": (0.0, math.pi, math.pi / 36), "flip_prob": 0.0,
             "grid_step": DEFAULT_GRID_STEP}
-
-
-class Variant(NamedTuple):
-    """One scenario/mode: the flags it reads besides --seed, --format and
-    --out, and how the parsed arguments map to its runner."""
-
-    flags: tuple[str, ...]
-    run: Callable[[argparse.Namespace], ScenarioReport]
-
-
-_EPR_SCAN = Variant(
-    ("--angles", "--mode"),
-    lambda c: scenarios.run_epr_scan(closed_grid(*c.angles), c.mode))
-_BELL_SEQUENTIAL = Variant(
-    ("--mode", "--samples"),
-    lambda c: scenarios.run_sequential(c.mode, None, c.samples, c.seed))
-
-# (scenario, mode) -> Variant; mode is None for scenarios without --mode, and
-# a scenario's first mode listed is its default.  Runners are looked up as
-# scenarios.<name> at call time.
-REGISTRY: dict[tuple[str, str | None], Variant] = {
-    ("epr-scan", "original"): _EPR_SCAN,
-    ("epr-scan", "anticorrelated"): _EPR_SCAN,
-    ("chsh", None): Variant(
-        ("--samples",), lambda c: scenarios.run_chsh(c.samples, c.seed)),
-    ("sequential", "clifford"): Variant(
-        ("--mode", "--flip-prob"), lambda c: scenarios.run_sequential(
-            c.mode, UpdateRule.post_z(c.flip_prob), c.samples, c.seed)),
-    ("sequential", "bell-static"): _BELL_SEQUENTIAL,
-    ("sequential", "bell-hemisphere"): _BELL_SEQUENTIAL,
-    ("three-particle", None): Variant(
-        (), lambda c: scenarios.run_three_particle_search()),
-    ("update-rule-search", None): Variant(
-        ("--grid-step",), lambda c: scenarios.search_update_rules(c.grid_step)),
-    ("constraint-check", None): Variant(
-        ("--angles",), lambda c: scenarios.run_constraint_check(
-            scenarios.xz_scan(closed_grid(*c.angles)))),
-    ("bell-toy", None): Variant(
-        ("--samples",), lambda c: scenarios.run_bell_toy(c.samples, c.seed)),
-}
-
-
-def _modes(scenario: str) -> list[str]:
-    return [mode for name, mode in REGISTRY if name == scenario and mode is not None]
 
 
 def _parse_angles(text: str) -> tuple[float, float, float]:
@@ -117,18 +73,18 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                     "hidden-variable spin models")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run one scenario and emit its report")
-    names = list(dict.fromkeys(name for name, _ in REGISTRY))
+    names = list(dict.fromkeys(name for name, _ in scenarios.REGISTRY))
     run.add_argument("scenario", choices=names)
     run.add_argument("--samples", type=int, default=None,
                      help=f"Monte Carlo sample count (default {DEFAULTS['samples']})")
     run.add_argument("--seed", type=int, default=None,
                      help=f"64-bit unsigned RNG seed (default {DEFAULTS['seed']}, or "
                           f"${SEED_ENV_VAR} when set)")
-    run.add_argument("--format", choices=FORMATS, default="table")
+    run.add_argument("--format", choices=list(WRITERS), default="table")
     run.add_argument("--angles", default=None, metavar="START:STOP:STEP",
                      help="angle grid in radians (default 0:pi:pi/36); START may be negative")
-    modes_help = ", ".join(f"{name} {{{'|'.join(_modes(name))}}}"
-                           for name in names if _modes(name))
+    modes_help = ", ".join(f"{name} {{{'|'.join(scenarios.modes(name))}}}"
+                           for name in names if scenarios.modes(name))
     run.add_argument("--mode", default=None,
                      help=f"variant of {modes_help}; the first listed is the default")
     run.add_argument("--flip-prob", type=float, default=None,
@@ -150,12 +106,12 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             args.append(arg)
     ns = parser.parse_args(args)
 
-    modes = _modes(ns.scenario)
-    if modes and ns.mode is not None and ns.mode not in modes:
-        run.error(f"--mode for {ns.scenario} must be one of {', '.join(modes)}")
-    mode = (ns.mode or modes[0]) if modes else None
-    variant = REGISTRY[ns.scenario, mode]
-    for flag in dict.fromkeys(f for v in REGISTRY.values() for f in v.flags):
+    known = scenarios.modes(ns.scenario)
+    if known and ns.mode is not None and ns.mode not in known:
+        run.error(f"--mode for {ns.scenario} must be one of {', '.join(known)}")
+    mode = (ns.mode or known[0]) if known else None
+    variant = scenarios.REGISTRY[ns.scenario, mode]
+    for flag in dict.fromkeys(f for v in scenarios.REGISTRY.values() for f in v.flags):
         if getattr(ns, flag[2:].replace("-", "_")) is not None and flag not in variant.flags:
             run.error(f"{flag} is not read by {ns.scenario}"
                       + (f" --mode {mode}" if mode else ""))
@@ -183,15 +139,11 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def run_scenario(config: argparse.Namespace) -> ScenarioReport:
-    return REGISTRY[config.scenario, config.mode].run(config)
+    return scenarios.REGISTRY[config.scenario, config.mode].run(config)
 
 
 def emit_report(report: ScenarioReport, config: argparse.Namespace, passed: bool) -> str:
-    if config.format == "json":
-        return report.to_json()
-    if config.format == "csv":
-        return emit_csv(report)
-    return emit_table(report, passed)
+    return WRITERS[config.format](report, passed)
 
 
 def main(argv: list[str] | None = None) -> int:

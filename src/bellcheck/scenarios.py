@@ -6,9 +6,9 @@ exact enumerations; only the continuous lambda of Bell's toy model is
 estimated by seeded Monte Carlo, with standard errors reported.
 
 Verdict booleans record comparison outcomes (does the model match the
-reference?).  GATES declares the value each must take for the run to count
-as reproducing the documented behaviour, from the report's own content, so
-a report read back from JSON gates the same way.
+reference?).  The gates of each REGISTRY row declare the value each must
+take for the run to count as reproducing the documented behaviour, from the
+report's own content, so a report read back from JSON gates the same way.
 
 Report keys of the form "<group>:<field>" describe one grid point or one
 searched configuration; plain keys are scenario-level values.  Report
@@ -23,7 +23,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,9 +54,6 @@ MC_Z = 3.0
 
 E_Z: Vec3 = (0.0, 0.0, 1.0)
 E_X: Vec3 = (1.0, 0.0, 0.0)
-
-SEQUENTIAL_MODELS = ("clifford", "bell-static", "bell-hemisphere")
-EPR_MODES = ("original", "anticorrelated")
 
 BELL_UPDATE_NOTE = (
     "static-lambda results cover the sign observable of Eq. (9) in Bell, "
@@ -94,22 +92,58 @@ def _parallel_pairs(parameters: Section, groups: list[str]) -> np.ndarray:
     return _close(2.0 * np.cross(a, b), 0.0).all(axis=1)
 
 
-# (scenario_name, parameters.get("model")) -> verdict -> the value it must take
-# for exit code 0, or INFO.  A grouped verdict "<group>:<field>" is listed by
-# its field, a plain one by its name; unlisted verdicts must be true.  A
-# callable maps (parameters, groups carrying the field, or [""] for a plain
-# verdict) to one value per group, each read from its own group.
-GATES = {
-    ("sequential", "clifford"): {"P_zz_matches_qm": INFO, "P_zx_matches_qm": INFO},
-    ("sequential", "bell-static"): {"P_zxz_matches_qm": False, "P_zxz_mc_matches_qm": False},
-    ("update-rule-search", None): {"feasible": False},
-    ("three-particle", None): {
+class Variant(NamedTuple):
+    """One scenario/mode: the flags it reads besides --seed, --format and
+    --out, its runner on the parsed arguments, and its gate designations.
+
+    gates maps a verdict to the value it must take for exit code 0, or INFO.
+    A grouped verdict "<group>:<field>" is listed by its field, a plain one
+    by its name; unlisted verdicts must be true.  A callable maps
+    (parameters, groups carrying the field, or [""] for a plain verdict) to
+    one value per group, each read from its own group."""
+
+    flags: tuple[str, ...]
+    run: Callable[..., ScenarioReport]
+    gates: Mapping[str, object] = MappingProxyType({})
+
+
+_EPR_SCAN = Variant(("--angles", "--mode"),
+                    lambda c: run_epr_scan(closed_grid(*c.angles), c.mode))
+_BELL_SEQUENTIAL = Variant(("--mode", "--samples"),
+                           lambda c: run_sequential(c.mode, None, c.samples, c.seed))
+
+# (scenario, mode) -> Variant; mode is None for scenarios without --mode, and
+# a scenario's first mode listed is its default.  A report finds its row as
+# (scenario_name, parameters.get("model")).
+REGISTRY: dict[tuple[str, str | None], Variant] = {
+    ("epr-scan", "original"): _EPR_SCAN,
+    ("epr-scan", "anticorrelated"): _EPR_SCAN,
+    ("chsh", None): Variant(("--samples",), lambda c: run_chsh(c.samples, c.seed)),
+    ("sequential", "clifford"): Variant(
+        ("--mode", "--flip-prob"),
+        lambda c: run_sequential(c.mode, UpdateRule.post_z(c.flip_prob), c.samples, c.seed),
+        {"P_zz_matches_qm": INFO, "P_zx_matches_qm": INFO}),
+    ("sequential", "bell-static"): _BELL_SEQUENTIAL._replace(
+        gates={"P_zxz_matches_qm": False, "P_zxz_mc_matches_qm": False}),
+    ("sequential", "bell-hemisphere"): _BELL_SEQUENTIAL,
+    ("three-particle", None): Variant((), lambda c: run_three_particle_search(), {
         "pattern_at_mu_plus": INFO, "pattern_at_mu_minus": INFO,
         "marginals_deterministic": False, "forced_bc_matches_qm": False,
         "consistent": lambda _, groups: [INFO if g.startswith("ctrl=") else False for g in groups],
-    },
-    ("constraint-check", None): {"commutator_zero": _parallel_pairs, "normalization_holds": False},
+    }),
+    ("update-rule-search", None): Variant(
+        ("--grid-step",), lambda c: search_update_rules(c.grid_step), {"feasible": False}),
+    ("constraint-check", None): Variant(
+        ("--angles",), lambda c: run_constraint_check(xz_scan(closed_grid(*c.angles))),
+        {"commutator_zero": _parallel_pairs, "normalization_holds": False}),
+    ("bell-toy", None): Variant(("--samples",), lambda c: run_bell_toy(c.samples, c.seed)),
 }
+
+
+def modes(scenario: str) -> tuple[str, ...]:
+    """The modes of `scenario` in REGISTRY order, its default first; () if it has none."""
+    return tuple(mode for name, mode in REGISTRY if name == scenario and mode is not None)
+
 
 # Monte Carlo runners stream their draws, so this cap bounds their run time.
 MAX_SAMPLES = 10_000_000
@@ -197,8 +231,10 @@ class ScenarioReport:
         """(block, field, values, designation) of each verdict column, a
         plain verdict being a dict block's column of one.  A designation is
         True, False, INFO or a sequence of one of those per value."""
-        variant = (self.scenario_name, self.parameters.get("model"))  # matched by ==: may hold a list
-        gates = next((g for key, g in GATES.items() if key == variant), {})
+        # Matched by ==, as "model" may hold a list.  epr-scan reports record
+        # meter_b_mode, not model, so they look up ("epr-scan", None): no row.
+        variant = (self.scenario_name, self.parameters.get("model"))
+        gates = next((v.gates for key, v in REGISTRY.items() if key == variant), {})
         for block in self.verdicts.blocks:
             grid = isinstance(block, Grid)
             for field, values in (block.columns.items() if grid
@@ -286,8 +322,8 @@ def run_epr_scan(angle_grid: Sequence[float] | np.ndarray,
     """
     if getattr(angle_grid, "ndim", 1) != 1 or not len(angle_grid):
         raise ValueError("angle grid must be a nonempty 1-D sequence or array")
-    if meter_b_mode not in EPR_MODES:
-        raise ValueError(f"meter_b_mode must be one of {EPR_MODES}")
+    if meter_b_mode not in modes("epr-scan"):
+        raise ValueError(f"meter_b_mode must be one of {modes('epr-scan')}")
 
     meter_a = MeterModel()
     meter_b = MeterModel(def_sign=1 if meter_b_mode == "original" else -1)
@@ -433,8 +469,8 @@ def run_sequential(model: str = "clifford",
     ++ history, where a hemisphere redraw around each measured axis restores
     the quantum 1/2.
     """
-    if model not in SEQUENTIAL_MODELS:
-        raise ValueError(f"model must be one of {SEQUENTIAL_MODELS}")
+    if model not in modes("sequential"):
+        raise ValueError(f"model must be one of {modes('sequential')}")
 
     qm_ref = _sequential_qm_refs()
     exact, mc, verdicts, parameters = {}, {}, {}, {"model": model}

@@ -44,6 +44,12 @@ def _patched(name: str, defect, module=models):
     return mock.patch.object(module, name, lambda *args: defect(real, *args))
 
 
+def _full_sphere():
+    """hemisphere_samples drawing on the full sphere, ignoring its pole."""
+    return _patched("hemisphere_samples",
+                    lambda real, pole, rng, out: models.random_unit_vectors(rng, out))
+
+
 # name -> (argv after "run", patch factory, gated verdicts it must flip)
 DEFECTS = {
     "constraint-check-commutator-forced-to-zero": (
@@ -52,10 +58,10 @@ DEFECTS = {
     "constraint-check-square-forced-to-one": (
         ["constraint-check"], lambda: _forced("square_avg", ONE.coeffs),
         {f"{p}:normalization_holds" for p in PAIRS} | {"normalization_violated_for_all"}),
-    # GATES holds the designation function itself, so patch the entry.
+    # The registry row holds the designation function itself, so patch its entry.
     "constraint-check-commutator_zero-designated-false": (
         ["constraint-check"], lambda: mock.patch.dict(
-            scenarios.GATES[("constraint-check", None)],
+            scenarios.REGISTRY["constraint-check", None].gates,
             commutator_zero=lambda _, groups: [False] * len(groups)),
         {f"{PAIRS[0]}:commutator_zero", f"{PAIRS[-1]}:commutator_zero"}),
     # Legs that ignore mu read the same pattern at both hidden states.
@@ -80,8 +86,39 @@ DEFECTS = {
         {f"{t}:wrong_sign" for t in THETAS} | {"all_points_as_predicted"}),
     # Lambdas drawn on the full sphere: half of them read n.lambda < 0.
     "bell-toy-full-sphere-sampler": (
-        ["bell-toy"],
-        lambda: _patched("hemisphere_samples",
-                         lambda real, pole, rng, out: models.random_unit_vectors(rng, out)),
-        {"hemisphere_mean_cos_ok", "hemisphere_support_ok"}),
+        ["bell-toy"], _full_sphere, {"hemisphere_mean_cos_ok", "hemisphere_support_ok"}),
+    # Every step along the first axis: the quantum pair becomes (1, 1), which
+    # the clifford rule reaches, so no defect shows.
+    "sequential-oracle-measures-along-first-axis": (
+        ["sequential"],
+        lambda: _patched("sequential_probabilities",
+                         lambda real, state, axes, outcomes:
+                         real(state, [axes[0]] * len(axes), outcomes), quantum),
+        {"defect_demonstrated"}),
+    "sequential-bell-static-x-sign-read-from-z": (
+        ["sequential", "--mode", "bell-static"],
+        lambda: _patched("_static_posterior", lambda real, lam0: real(lam0[:, [2, 1, 2]]),
+                         scenarios),
+        {"P_zx_mc_matches_qm"}),
+    "sequential-bell-hemisphere-full-sphere-redraw": (
+        ["sequential", "--mode", "bell-hemisphere"], _full_sphere, {"P_zz_mc_matches_qm"}),
+    "chsh-meter-b-read-along-z": (
+        ["chsh"],
+        lambda: _patched("pair_product",
+                         lambda real, ma, mb, a, b, mu: real(ma, mb, a, scenarios.E_Z, mu),
+                         scenarios),
+        {"model_scalar_chsh_matches_qm"}),
+    # Each CHSH term draws its own lambdas, so one lambda per term makes each
+    # term +-1 on its own; at the default seed the four read S = 4.
+    "chsh-one-static-lambda-for-every-row": (
+        ["chsh"],
+        lambda: _patched("_static_sign_correlation",
+                         lambda real, a, b, lams: real(a, b, np.broadcast_to(lams[:1], lams.shape)),
+                         scenarios),
+        {"bell_static_within_local_bound"}),
+    # p = 0 is the one grid point where both follow-up probabilities are 1.
+    "update-rule-search-grid-drops-its-start": (
+        ["update-rule-search"],
+        lambda: _patched("closed_grid", lambda real, *bounds: real(*bounds)[1:], scenarios),
+        {"relaxed_repeat_nonempty"}),
 }

@@ -30,7 +30,7 @@ import numpy as np
 
 from bellcheck.clifford import Multivector
 from bellcheck.report import Section
-from bellcheck.scenarios import GATES, INFO
+from bellcheck.scenarios import INFO, REGISTRY
 
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -163,9 +163,9 @@ def _text(value) -> str:
 
 
 def ref_designations(report):
-    """The GATES value of each verdict, in verdict order."""
+    """The designation of each verdict on its REGISTRY row, in verdict order."""
     variant = (report.scenario_name, report.parameters.get("model"))
-    gates = next((g for key, g in GATES.items() if key == variant), {})
+    gates = next((v.gates for key, v in REGISTRY.items() if key == variant), {})
     wants = [gates.get(name.rpartition(":")[2], True) for name in report.verdicts]
     for rule in filter(callable, gates.values()):
         groups = [n.rpartition(":")[0] for n, w in zip(report.verdicts, wants) if w is rule]

@@ -104,7 +104,7 @@ SAMPLE_DOMAIN_ERROR = ("bellcheck: error: samples must be <= 10000000 and >= 100
                        "(chsh also takes 0)\n")
 
 
-@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("fmt", list(cli.WRITERS))
 def test_mc_sample_domain_is_the_same_in_every_format(fmt, capsys):
     refused = [["chsh", "--samples", n] for n in ("-1", "1", "2", "500", "9999")] + [
         ["bell-toy", "--samples", "9999"],
@@ -141,7 +141,7 @@ FLAG_VALUES = {"--samples": "20000", "--angles": "0:1:0.5", "--mode": "x",
 
 
 def test_registry_has_one_entry_per_scenario_mode():
-    assert set(cli.REGISTRY) == set(READS)
+    assert set(scenarios.REGISTRY) == set(READS)
 
 
 @pytest.mark.parametrize("scenario,mode", list(READS))
@@ -426,7 +426,7 @@ _CONTRACT_VALUES = {
     "--grid-step": st.sampled_from(_NUMBERS + ["0.1", "0.01"]),
     "--angles": st.lists(st.sampled_from(_NUMBERS + ["0.5", "3.14159"]),
                          min_size=3, max_size=3).map(":".join),
-    "--mode": st.sampled_from(sorted({m for _, m in cli.REGISTRY if m} | {"bogus"})),
+    "--mode": st.sampled_from(sorted({m for _, m in scenarios.REGISTRY if m} | {"bogus"})),
 }
 _SEEDS = ["0", "-1", str(2 ** 64 - 1), str(2 ** 64), "x"]
 _OUTS = [None, "file", "missing-dir"] + (["/dev/full"] if os.path.exists("/dev/full") else [])
@@ -444,7 +444,7 @@ def _accepted_grid_points(angles):
 def _contract_invocations(draw):
     """A scenario/mode, a subset of the flags it reads, at most one flag it
     may not read, each with a boundary value, plus seed, format and target."""
-    (scenario, mode), variant = draw(st.sampled_from(list(cli.REGISTRY.items())))
+    (scenario, mode), variant = draw(st.sampled_from(list(scenarios.REGISTRY.items())))
     args = [scenario] + (["--mode", mode] if mode else [])
     own = [f for f in variant.flags if f != "--mode"]
     flags = draw(st.lists(st.sampled_from(own), unique=True)) if own else []
@@ -456,7 +456,7 @@ def _contract_invocations(draw):
         args += [flag, value]
     seed = draw(st.none() | st.sampled_from(_SEEDS))
     args += ["--seed", seed] if seed is not None else []
-    fmt = draw(st.none() | st.sampled_from(cli.FORMATS))
+    fmt = draw(st.none() | st.sampled_from(list(cli.WRITERS)))
     args += ["--format", fmt] if fmt is not None else []
     return args, draw(st.none() | st.sampled_from(_SEEDS)), draw(st.sampled_from(_OUTS))
 
@@ -495,7 +495,7 @@ def test_cli_contract_holds_on_boundary_values(capsys, invocation):
             assert "internal error" not in captured.err
             return
         config = cli.parse_args(argv)
-        report = cli.REGISTRY[config.scenario, config.mode].run(config)
+        report = scenarios.REGISTRY[config.scenario, config.mode].run(config)
         assert code == (0 if report.gate_passed() else 1)
         text = cli.emit_report(report, config, report.gate_passed())
         if out is None:

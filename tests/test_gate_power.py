@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from bellcheck import cli
+from bellcheck import cli, scenarios
 from bellcheck.scenarios import ScenarioReport
 from defects import DEFECTS
 
@@ -30,3 +30,9 @@ def test_defect_flips_exactly_its_verdicts(name, capsys):
     assert _flipped(argv, capsys) == (0, set())
     with defect():
         assert _flipped(argv, capsys) == (1, flips)
+
+
+def test_every_registry_row_has_a_defect():
+    rows = {(ns.scenario, ns.mode) for ns in (cli.parse_args(["run", *argv])
+                                              for argv, _, _ in DEFECTS.values())}
+    assert rows == set(scenarios.REGISTRY)

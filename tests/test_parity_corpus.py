@@ -1,14 +1,14 @@
 """tools/parity_corpus.txt names every registry variant in every format,
-sample counts that straddle the lambda chunk and the three seeded Monte
-Carlo false alarms.  The parity tool itself is not run
-here: it starts two processes per line."""
+the help text, sample counts that straddle the lambda chunk and the three
+seeded Monte Carlo false alarms.  The parity tool itself is not run here:
+it starts two processes per line."""
 
 import importlib.util
 import os
 
 import pytest
 
-from bellcheck import cli
+from bellcheck import cli, scenarios
 from bellcheck.models import CHUNK
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
@@ -45,8 +45,9 @@ def test_corpus_runs_every_variant_in_every_format(corpus, monkeypatch, capsys):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     covered = {(ns.scenario, ns.mode, ns.format) for _, ns in _parsed(corpus)}
     capsys.readouterr()
-    assert covered >= {(*variant, fmt) for variant in cli.REGISTRY for fmt in cli.FORMATS}
+    assert covered >= {(*variant, fmt) for variant in scenarios.REGISTRY for fmt in cli.WRITERS}
     assert len(corpus) >= 100
+    assert ({}, ["--help"]) in corpus
 
 
 @pytest.mark.parametrize("alarm", FALSE_ALARMS)

@@ -92,7 +92,7 @@ def moved() -> dict:
     rule is forced to hold and then not to, plus None -> label -> every
     verdict key of that default."""
     table = {None: {}}
-    for scenario, mode in cli.REGISTRY:
+    for scenario, mode in scenarios.REGISTRY:
         label = scenario if mode is None else f"{scenario} {mode}"
         called = set()
         base = _run(scenario, mode, lambda key, ok: called.add(key) or ok)
@@ -114,7 +114,7 @@ def test_each_rule_decides_its_pinned_fields(moved):
 
 
 def test_every_verdict_of_every_default_is_decided_by_a_rule(moved):
-    assert len(moved[None]) == len(cli.REGISTRY) == 10
+    assert len(moved[None]) == len(scenarios.REGISTRY) == 10
     for label, keys in moved[None].items():
         ruled = set().union(*(by_label.get(label, set())
                               for rule, by_label in moved.items() if rule is not None))

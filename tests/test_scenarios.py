@@ -144,7 +144,7 @@ def test_epr_scan_rejects_empty_grid_and_bad_mode():
 
 
 @pytest.mark.parametrize("grid", [GRID_37, [0.0]], ids=["grid-37", "one-point"])
-@pytest.mark.parametrize("mode", scenarios.EPR_MODES)
+@pytest.mark.parametrize("mode", scenarios.modes("epr-scan"))
 def test_epr_scan_takes_a_list_or_an_array(mode, grid):
     assert run_epr_scan(np.array(grid), mode).to_json() == run_epr_scan(grid, mode).to_json()
 
@@ -522,7 +522,8 @@ _FIELDS = st.sampled_from(["a", "b", "feasible", "consistent", "marginals_determ
                            "pattern_at_mu_plus", "P_zz_matches_qm", "m:estimate", ""])
 _GROUPED_KEYS = st.builds(lambda label, field: f"{label}:{field}", _LABELS, _FIELDS)
 # (scenario_name, parameters.model) pairs with gate designations, and others.
-_SCENARIOS = st.one_of(st.sampled_from(sorted(scenarios.GATES, key=str)),
+_SCENARIOS = st.one_of(st.sampled_from(sorted((k for k, v in scenarios.REGISTRY.items() if v.gates),
+                                              key=str)),
                        st.tuples(st.text(max_size=8), st.none()))
 
 
