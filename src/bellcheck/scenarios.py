@@ -527,8 +527,11 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     if not 0.0 < grid_step <= 0.1:
         raise ValueError("grid_step must be in (0, 0.1]")
 
-    grid = closed_grid(0.0, 1.0, grid_step)
-    p = np.array(grid)
+    p = np.array(closed_grid(0.0, 1.0, grid_step))
+    # The one p the targets single out, 1/2, is tried on every grid: inserted
+    # at its sorted place when no grid point is within FEASIBILITY_TOL of it.
+    if not _close(p, 0.5, FEASIBILITY_TOL).any():
+        p = np.insert(p, np.searchsorted(p, 0.5), 0.5)
     p_zz = p_zx = 1.0 - p
 
     def meets(zz: float, zx: float) -> np.ndarray:
@@ -537,7 +540,7 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     oks = meets(1.0, 0.5)
     feasible, relaxed_repeat, relaxed_uniform = (
         p[mask].tolist() for mask in (oks, meets(1.0, 1.0), meets(0.5, 0.5)))
-    groups = [f"p={t}" for t in _fmt_all(grid)]
+    groups = [f"p={t}" for t in _fmt_all(p.tolist())]
 
     exact = {"feasible_count": len(feasible),
              "relaxed_repeat_count": len(relaxed_repeat),
@@ -547,7 +550,7 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
             exact[f"{name}_first"] = hits[0]
     return ScenarioReport(
         scenario_name="update-rule-search",
-        parameters={"grid_step": grid_step, "n_grid": len(grid),
+        parameters={"grid_step": grid_step, "n_grid": len(p),
                     "targets": "P_zz=1 and P_zx=0.5"},
         exact_results=[Grid(groups, {"P_zz": p_zz, "P_zx": p_zx}), exact],
         qm_reference={"P_zz": 1.0, "P_zx": 0.5},

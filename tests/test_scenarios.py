@@ -257,6 +257,19 @@ def test_update_rule_search_relaxed_controls():
     assert abs(report.exact_results["relaxed_uniform_first"] - 0.5) <= 1e-9
 
 
+@pytest.mark.parametrize("step", [0.03, 0.003, 0.07, 0.0999, 0.0123, 1e-4 * math.pi])
+def test_update_rule_search_tries_one_half_on_an_off_lattice_grid(step):
+    report = search_update_rules(step)
+    grid = closed_grid(0.0, 1.0, step)
+    assert not any(abs(p - 0.5) <= scenarios.FEASIBILITY_TOL for p in grid)
+    labels = [key[:-len(":P_zz")] for key in report.exact_results if key.endswith(":P_zz")]
+    assert labels == ["p=%.12g" % p for p in sorted([*grid, 0.5])]
+    assert report.parameters["n_grid"] == len(grid) + 1
+    assert report.exact_results["relaxed_uniform_first"] == 0.5
+    assert report.verdicts["feasible_set_empty"] is True
+    assert report.gate_passed()
+
+
 def test_update_rule_search_validates_step():
     with pytest.raises(ValueError):
         search_update_rules(0.0)
