@@ -6,8 +6,9 @@ whose keys run in block order.  A section is built once and never written
 to; _regroup files the "<group>:<field>" keys of a dict, or of a grid whose
 labels repeat, in Grids.  Grid runners fill whole columns from arrays,
 and the writers read the blocks as they are: each column is formatted
-once and the lines are zipped point by point, without building a dict of
-a section or a Multivector per row.
+once and _joined lays out SLICE lines at a time by strided slice
+assignment, without building a string per line, a dict of a section or a
+Multivector per row.  Each label list is checked, quoted and placed once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,39 @@ def _json_numbers(values: list[float]) -> list[str]:
     1e12 <= |x| < 1e16 in positional notation where %.12g uses an exponent."""
     return [json.dumps(float(t)) if "e" in t or "n" in t else t if "." in t else t + ".0"
             for t in _fmt_all(values)]
+
+
+SLICE = 1 << 12  # lines joined into one string: bounds the pieces a writer holds at once
+
+
+def _joined(sep: str, parts: list, n: int) -> Iterator[str]:
+    """n lines separated by sep, SLICE to a string, so that sep joins the
+    strings too: line r joins the parts, each a str or a list whose r-th item
+    is taken, placed between the separators by strided slice assignment."""
+    for start in range(0, n, SLICE):
+        m = min(SLICE, n - start)
+        pieces = [sep] * ((len(parts) + 1) * m)
+        for k, part in enumerate(parts, 1):
+            pieces[k::len(parts) + 1] = [part] * m if isinstance(part, str) else part[start:start + m]
+        yield "".join(pieces[1:])
+
+
+def _indexed(index: dict, obj, make: Callable):
+    """make(obj), once per object (a label list or a column) and make: index
+    holds each result with its object, whose id is then not reused."""
+    key = id(obj), make
+    return (index[key] if key in index else index.setdefault(key, (obj, make(obj))))[1]
+
+
+def _distinct(labels: list[str]) -> bool:
+    return len(set(labels)) == len(labels)
+
+
+def _json_labels(labels: list[str]) -> list[str]:
+    """The JSON text of each label less its quotes: the list itself if none needs an escape."""
+    joined = "".join(labels)
+    return labels if len(encode_basestring(joined)) == len(joined) + 2 else [
+        encode_basestring(label)[1:-1] for label in labels]
 
 
 @dataclass
@@ -113,13 +147,15 @@ class Section(Mapping):
     Every "<group>:<field>" key is kept in a Grid and every plain key in a
     dict: a dict holding grouped keys and a grid whose labels repeat (grid
     points equal to 12 digits) are refiled by _regroup, a repeated key
-    keeping its first position and its last value."""
+    keeping its first position and its last value.  The sections of a
+    report share one index (see _indexed) of what each label list gives."""
 
-    def __init__(self, entries: dict | list | None = None):
+    def __init__(self, entries: dict | list | None = None, index: dict | None = None):
         self.blocks: list = []
+        self.index = {} if index is None else index
         for block in entries if isinstance(entries, list) else [entries or {}]:
             if (":" not in "".join(block) if isinstance(block, dict)
-                    else len(set(block.labels)) == len(block.labels)):
+                    else _indexed(self.index, block.labels, _distinct)):
                 self.blocks.append(block)
             else:
                 self.blocks.extend(_regroup(dict(_items(block))))
@@ -171,31 +207,32 @@ def _grid_texts(grid: Grid, text: Callable, numbers: Callable, quote: Callable) 
         values = column.tolist()
         return numbers(values) if column.dtype == np.float64 else list(map(text, values))
 
-    done: dict[int, list[str]] = {}
-    return {f: done[id(c)] if id(c) in done else done.setdefault(id(c), texts(c))
-            for f, c in grid.columns.items()}
+    done: dict = {}
+    return {f: _indexed(done, c, texts) for f, c in grid.columns.items()}
 
 
-def _block_lines(block, prefix: str, quote: Callable, text: Callable,
-                 numbers: Callable) -> Iterable[str]:
-    """'<prefix><quote(key)>: <text>' of each entry of a block, in key order;
-    quote (str or JSON's) escapes char by char, so a grid quotes each label once."""
+def _block_lines(block, prefix: str, sep: str, quote: Callable, text: Callable,
+                 numbers: Callable, index: dict) -> Iterable[str]:
+    """'<prefix><quote(key)>: <text>' of each entry of a block, in key order,
+    separated by sep; quote (str or JSON's) escapes char by char, so a grid
+    quotes its label list once (index holds it) and ":<field>" once."""
     if isinstance(block, dict):
-        return (f"{prefix}{quote(k)}: {text(v)}" for k, v in block.items())
-    cut = len(quote("")) // 2  # 1 for JSON: drop a label's closing and ":<field>"'s opening mark
-    heads = [prefix + quote(label)[:-cut or None] for label in block.labels]
-    texts = _grid_texts(block, text, numbers, quote)
-    columns = [[f"{head}{tail}: {t}" for head, t in zip(heads, texts[f])]
-               for f in texts for tail in [quote(":" + f)[cut:]]]
-    return itertools.chain.from_iterable(zip(*columns))
+        return _joined(sep, [prefix, list(map(quote, block)), ": ", list(map(text, block.values()))],
+                       len(block))
+    cut = len(quote("")) // 2  # 1 for JSON: a key's opening mark, and its closing one
+    labels = _indexed(index, block.labels, _json_labels) if cut else block.labels
+    parts = [part for field, texts in _grid_texts(block, text, numbers, quote).items()
+             for part in (sep, prefix + quote("")[:cut], labels, quote(":" + field)[cut:] + ": ", texts)]
+    return _joined(sep, parts[1:], len(labels))
 
 
-def _json_object(blocks: list, indent: str) -> str:
+def _json_object(blocks: list, indent: str, index: dict) -> str:
     """JSON text of the object of the blocks' entries, as json.dumps(indent=2)."""
     inner = indent + "  "
     text = functools.partial(_json_value, indent=inner)
     items = ",\n".join(itertools.chain.from_iterable(
-        _block_lines(block, inner, encode_basestring, text, _json_numbers) for block in blocks))
+        _block_lines(block, inner, ",\n", encode_basestring, text, _json_numbers, index)
+        for block in blocks))
     return f"{{\n{items}\n{indent}}}" if items else "{}"
 
 
@@ -214,8 +251,8 @@ def _json_value(value, indent: str) -> str:
         return encode_basestring(_text(value))
     if value is None:
         return "null"
-    if isinstance(value, (dict, Section)):
-        return _json_object(value.blocks if isinstance(value, Section) else [value], indent)
+    if isinstance(value, (dict, Section)):  # a dict has no index of label lists
+        return _json_object(getattr(value, "blocks", [value]), indent, getattr(value, "index", {}))
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         items = (_json_numbers(value) if all(isinstance(v, float) for v in value)
@@ -245,29 +282,38 @@ def _split_groups(report):
     """Report entries as a table of per-group rows, column by column, and
     a list of scenario-level (name, text) pairs.
 
-    Each Grid feeds one row per group label, found once per label list, and
-    puts each column's texts at those rows.  Each column starts with its
-    header: "point", the fields in order of first appearance, and "verdict"
-    (the group's verdicts that hold); the table is empty when no key is grouped.
+    Each Grid feeds one row per group label, found once per label list (the
+    first list's as it stands), and puts each column's texts at those rows,
+    or takes them as they are if one grid holds them in row order.  Each
+    column starts with its header: "point", the fields in order of first
+    appearance, and "verdict" (the group's verdicts that hold); the table
+    is empty when no key is grouped.
     """
-    rows: dict[str, int] = {}
-    at: dict[tuple, np.ndarray] = {}  # label list -> its rows, -1 for a verdict's unknown label
+    order: list[str] = []  # the label of each row
+    rows: dict[str, int] = {}  # label -> row, built once a second label list is met
+    at: dict = {}  # label list -> its rows, -1 for a verdict's unknown label
     placed: dict[str, list] = {}  # field -> (rows, texts) of each grid holding it
     plain: list[tuple[str, str]] = []
 
-    def where(labels: list[str], row: Callable) -> np.ndarray:
-        key = tuple(labels)
-        return at[key] if key in at else at.setdefault(key, np.fromiter(map(row, labels), int))
+    def where(labels: list[str]) -> np.ndarray:  # adds no row once the verdicts are read
+        if add and not order:
+            order.extend(labels)
+            return np.arange(len(labels))
+        rows.update(zip(order[len(rows):], itertools.count(len(rows))))
+        order.extend(g for g in labels if add and g not in rows)  # a grid's labels are distinct
+        rows.update(zip(order[len(rows):], itertools.count(len(rows))))
+        return np.fromiter(map(rows.get, labels, itertools.repeat(-1)), int, len(labels))
 
     def file(blocks: list, prefix: str = "") -> None:
         for block in blocks:
             if isinstance(block, dict):
                 plain.extend((prefix + key, _text(value)) for key, value in block.items())
                 continue
-            at_rows = where(block.labels, lambda g: rows.setdefault(g, len(rows)))
+            at_rows = _indexed(at, block.labels, where)
             for name, texts in _grid_texts(block, _text, _fmt_all, str).items():
                 placed.setdefault(name, []).append((at_rows, texts))
 
+    add = True
     file(report.exact_results.blocks)
     for key, m in report.mc_results.items():
         sep = ":" if ":" in key else "."
@@ -276,31 +322,37 @@ def _split_groups(report):
                        f"{key}{sep}samples": str(m.samples)}))
     # keep grouped fields as-is; label scenario-level ones as references
     file(report.qm_reference.blocks, "qm.")
-    holding = np.full(len(rows), "", dtype=object)  # "<verdict>;" of each that holds
+    add, n = False, len(order)
+    holding = np.full(n, "", dtype=object)  # "<verdict>;" of each that holds
     for block in report.verdicts.blocks:
         if isinstance(block, dict):
             plain.extend((key, _text(value)) for key, value in block.items())
             continue
-        known = where(block.labels, lambda g: rows.get(g, -1))
+        known = _indexed(at, block.labels, where)
         for name, column in block.columns.items():
             holds = np.fromiter(map(bool, _values(column)), bool, len(known))
             holding[known[holds & (known >= 0)]] += name + ";"
 
-    if not rows:
+    if not n:
         return [], plain
-    table = [["point", *rows]]
+    table = [["point", *order]]
     for name, cells in placed.items():
-        texts = np.full(len(rows), "", dtype=object)
+        if len(cells) == 1 and np.array_equal(cells[0][0], np.arange(n)):
+            table.append([name, *cells[0][1]])
+            continue
+        texts = np.full(n, "", dtype=object)
         for at_rows, values in cells:
             texts[at_rows] = values
         table.append([name, *texts.tolist()])
-    return [*table, ["verdict", *[text[:-1] for text in holding.tolist()]]], plain
+    held = [text[:-1] for text in holding.tolist()] if holding.any() else [""] * n
+    return [*table, ["verdict", *held]], plain
 
 
 def emit_csv(report) -> str:
     """The ScenarioReport as CSV: the per-group table, then name,value rows."""
     table, plain = _split_groups(report)
-    lines = [*map(",".join, zip(*table)), *[""] * bool(table and plain)]
+    parts = [part for column in table for part in (",", column)][1:]
+    lines = [*_joined("\n", parts, len(table and table[0])), *[""] * bool(table and plain)]
     if plain or not table:
         lines += ["name,value", *(f"{name},{value}" for name, value in plain)]
     return "\n".join(lines) + "\n"
@@ -311,7 +363,7 @@ def emit_table(report, passed: bool) -> str:
     table, plain = _split_groups(report)
     lines = [f"scenario: {report.scenario_name}", f"seed: {report.seed}", "parameters:"]
     for block in report.parameters.blocks:
-        lines.extend(_block_lines(block, "  ", str, _param_text, _fmt_all))
+        lines.extend(_block_lines(block, "  ", "\n", str, _param_text, _fmt_all, {}))
 
     if table:
         # Each column but the last padded to its width: that padding would be stripped.

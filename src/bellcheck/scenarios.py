@@ -44,7 +44,7 @@ from .models import (
     meter_outcome,
     pair_product,
 )
-from .report import Grid, Section, _fmt_all, _grid_keys, _json_value
+from .report import Grid, Section, _grid_keys, _json_value
 
 # Every verdict is decided by _close, within one of these tolerances, or by _within.
 EXACT_TOL = 1e-12
@@ -159,6 +159,7 @@ def xz_scan(angles: Sequence[float]) -> np.ndarray:
     """(N, 2, 3) direction pairs, row k (e_z, b) with b at angles[k] from e_z
     toward e_x in the x-z plane, from the libm sin and cos of each angle:
     the scan geometry of epr-scan, constraint-check and the CHSH angles."""
+    angles = np.asarray(angles, dtype=float).tolist()
     n = len(angles)
     pairs = np.zeros((n, 2, 3))
     pairs[:, 0] = E_Z
@@ -188,10 +189,11 @@ def grid_points(start: float, stop: float, step: float) -> int:
     return int(math.floor(intervals)) + 1
 
 
-def closed_grid(start: float, stop: float, step: float) -> list[float]:
-    """Grid start + k*step, closed on both ends (no accumulation drift),
-    validated by grid_points before anything is allocated."""
-    return [start + k * step for k in range(grid_points(start, stop, step))]
+def closed_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Grid start + k*step, k = 0..n-1, closed on both ends (no accumulation
+    drift), validated by grid_points before anything is allocated.  Each
+    point takes the IEEE operations of the float expression, so its bits."""
+    return start + np.arange(grid_points(start, stop, step)) * step
 
 
 @dataclass(frozen=True)
@@ -220,10 +222,11 @@ class ScenarioReport:
                  qm_reference: dict | list | None = None, verdicts: dict | list | None = None,
                  seed: int = 0):
         self.scenario_name = scenario_name
-        self.parameters = Section(parameters)
-        self.exact_results = Section(exact_results)
-        self.qm_reference = Section(qm_reference)
-        self.verdicts = Section(verdicts)
+        index: dict = {}  # a runner hands one label list to the grids of several sections
+        self.parameters = Section(parameters, index)
+        self.exact_results = Section(exact_results, index)
+        self.qm_reference = Section(qm_reference, index)
+        self.verdicts = Section(verdicts, index)
         self.mc_results = {} if mc_results is None else mc_results
         self.seed = seed
 
@@ -328,7 +331,8 @@ def run_epr_scan(angle_grid: Sequence[float] | np.ndarray,
     meter_a = MeterModel()
     meter_b = MeterModel(def_sign=1 if meter_b_mode == "original" else -1)
 
-    a_dirs, b_dirs = xz_scan(angle_grid).transpose(1, 0, 2)
+    angles = np.asarray(angle_grid, dtype=float).tolist()
+    a_dirs, b_dirs = xz_scan(angles).transpose(1, 0, 2)
     averaged_rows = expectation_over_mu(
         lambda mu: batch_pair_product(meter_a, meter_b, a_dirs, b_dirs, mu))
     # Multivector.grade(2), row by row.
@@ -337,7 +341,7 @@ def run_epr_scan(angle_grid: Sequence[float] | np.ndarray,
     scalars = averaged_rows[:, 0]
     verdict = "matches_qm" if meter_b_mode == "original" else "wrong_sign"
     oks = _close(scalars, qm_values if meter_b_mode == "original" else b_dirs[:, 2])
-    groups = [f"theta={t}" for t in _fmt_all(angle_grid)]
+    groups = ["theta=%.12g" % t for t in angles]
 
     return ScenarioReport(
         scenario_name="epr-scan",
@@ -345,8 +349,8 @@ def run_epr_scan(angle_grid: Sequence[float] | np.ndarray,
             "meter_b_mode": meter_b_mode,
             "meter_a_def_sign": meter_a.def_sign,
             "meter_b_def_sign": meter_b.def_sign,
-            "n_points": len(angle_grid),
-            "angles": [float(t) for t in angle_grid],
+            "n_points": len(angles),
+            "angles": angles,
         },
         exact_results=[Grid(groups, {"model_scalar": scalars, "model_bivector": bivector_rows,
                                      "bivector_norm": row_norms(bivector_rows)})],
@@ -527,7 +531,7 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     if not 0.0 < grid_step <= 0.1:
         raise ValueError("grid_step must be in (0, 0.1]")
 
-    p = np.array(closed_grid(0.0, 1.0, grid_step))
+    p = closed_grid(0.0, 1.0, grid_step)
     # The one p the targets single out, 1/2, is tried on every grid: inserted
     # at its sorted place when no grid point is within FEASIBILITY_TOL of it.
     if not _close(p, 0.5, FEASIBILITY_TOL).any():
@@ -540,7 +544,7 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     oks = meets(1.0, 0.5)
     feasible, relaxed_repeat, relaxed_uniform = (
         p[mask].tolist() for mask in (oks, meets(1.0, 1.0), meets(0.5, 0.5)))
-    groups = [f"p={t}" for t in _fmt_all(p.tolist())]
+    groups = ["p=%.12g" % t for t in p.tolist()]
 
     exact = {"feasible_count": len(feasible),
              "relaxed_repeat_count": len(relaxed_repeat),
