@@ -138,6 +138,15 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return ns
 
 
+def _size(config: argparse.Namespace) -> str:
+    """A run's scenario and the size it asked for: grid points or samples."""
+    flags = scenarios.REGISTRY[config.scenario, config.mode].flags
+    grid = (config.angles if "--angles" in flags else
+            (0.0, 1.0, config.grid_step) if "--grid-step" in flags else None)
+    return config.scenario + (f" over {scenarios.grid_points(*grid):,} grid points" if grid else
+                              f" with {config.samples:,} samples" if "--samples" in flags else "")
+
+
 def run_scenario(config: argparse.Namespace) -> ScenarioReport:
     return scenarios.REGISTRY[config.scenario, config.mode].run(config)
 
@@ -156,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bellcheck: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"bellcheck: error: out of memory: {exc}", file=sys.stderr)
+        # A MemoryError raised by the allocator itself carries no text: name the run.
+        print(f"bellcheck: error: out of memory: {str(exc) or _size(config)}", file=sys.stderr)
         return 2
     except Exception as exc:
         # Exit 1 is reserved for a gated verdict that differs.
