@@ -3,17 +3,8 @@
     bellcheck run <scenario> [FLAGS] [--seed S] [--format table|json|csv] [--out PATH]
 
 scenarios.REGISTRY lists each scenario/mode (the first mode listed is the
-default), the FLAGS it reads and its runner; WRITERS holds one writer per
---format.  Any other flag is a usage error (exit 2):
-
-    epr-scan [--mode original|anticorrelated]    --angles START:STOP:STEP
-    chsh                                         --samples N
-    sequential [--mode clifford]                 --flip-prob P
-    sequential --mode bell-static|bell-hemisphere  --samples N
-    three-particle                               (none)
-    update-rule-search                           --grid-step G
-    constraint-check                             --angles START:STOP:STEP
-    bell-toy                                     --samples N
+default), the FLAGS it reads and its runner, as README's CLI table does;
+WRITERS holds one writer per --format.  Any other flag is a usage error.
 
 Exit codes: 0 when every gated verdict holds (the documented behaviour,
 including the model failures the scenarios are built to demonstrate, was

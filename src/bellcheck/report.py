@@ -251,7 +251,7 @@ def _json_value(value, indent: str) -> str:
         return encode_basestring(_text(value))
     if value is None:
         return "null"
-    if isinstance(value, (dict, Section)):  # a dict has no index of label lists
+    if isinstance(value, (dict, Section)):  # a dict is one block, of no label list
         return _json_object(getattr(value, "blocks", [value]), indent, getattr(value, "index", {}))
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
