@@ -159,7 +159,6 @@ def xz_scan(angles: Sequence[float]) -> np.ndarray:
     """(N, 2, 3) direction pairs, row k (e_z, b) with b at angles[k] from e_z
     toward e_x in the x-z plane, from the libm sin and cos of each angle:
     the scan geometry of epr-scan, constraint-check and the CHSH angles."""
-    angles = np.asarray(angles, dtype=float).tolist()
     n = len(angles)
     pairs = np.zeros((n, 2, 3))
     pairs[:, 0] = E_Z
@@ -189,11 +188,11 @@ def grid_points(start: float, stop: float, step: float) -> int:
     return int(math.floor(intervals)) + 1
 
 
-def closed_grid(start: float, stop: float, step: float) -> np.ndarray:
+def closed_grid(start: float, stop: float, step: float) -> list[float]:
     """Grid start + k*step, k = 0..n-1, closed on both ends (no accumulation
     drift), validated by grid_points before anything is allocated.  Each
     point takes the IEEE operations of the float expression, so its bits."""
-    return start + np.arange(grid_points(start, stop, step)) * step
+    return (start + np.arange(grid_points(start, stop, step)) * step).tolist()
 
 
 @dataclass(frozen=True)
@@ -531,7 +530,7 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     if not 0.0 < grid_step <= 0.1:
         raise ValueError("grid_step must be in (0, 0.1]")
 
-    p = closed_grid(0.0, 1.0, grid_step)
+    p = np.array(closed_grid(0.0, 1.0, grid_step))
     # The one p the targets single out, 1/2, is tried on every grid: inserted
     # at its sorted place when no grid point is within FEASIBILITY_TOL of it.
     if not _close(p, 0.5, FEASIBILITY_TOL).any():

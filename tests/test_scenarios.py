@@ -78,7 +78,7 @@ def test_closed_grid_is_the_float_expression_bit_for_bit(start, step, k, frac):
     stop = start + (k + frac) * step
     n = scenarios.grid_points(start, stop, step)
     want = [start + i * step for i in range(n)]
-    assert [x.hex() for x in closed_grid(start, stop, step).tolist()] == [x.hex() for x in want]
+    assert [x.hex() for x in closed_grid(start, stop, step)] == [x.hex() for x in want]
 
 
 def test_closed_grid_rejects_non_finite_bounds():
