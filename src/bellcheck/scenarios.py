@@ -530,11 +530,13 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     if not 0.0 < grid_step <= 0.1:
         raise ValueError("grid_step must be in (0, 0.1]")
 
-    p = np.array(closed_grid(0.0, 1.0, grid_step))
+    grid = closed_grid(0.0, 1.0, grid_step)
+    p = np.array(grid)
     # The one p the targets single out, 1/2, is tried on every grid: inserted
     # at its sorted place when no grid point is within FEASIBILITY_TOL of it.
     if not _close(p, 0.5, FEASIBILITY_TOL).any():
         p = np.insert(p, np.searchsorted(p, 0.5), 0.5)
+        grid = p.tolist()
     p_zz = p_zx = 1.0 - p
 
     def meets(zz: float, zx: float) -> np.ndarray:
@@ -543,7 +545,7 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     oks = meets(1.0, 0.5)
     feasible, relaxed_repeat, relaxed_uniform = (
         p[mask].tolist() for mask in (oks, meets(1.0, 1.0), meets(0.5, 0.5)))
-    groups = ["p=%.12g" % t for t in p.tolist()]
+    groups = ["p=%.12g" % t for t in grid]
 
     exact = {"feasible_count": len(feasible),
              "relaxed_repeat_count": len(relaxed_repeat),
