@@ -308,10 +308,15 @@ def _split_groups(report):
         for block in blocks:
             if isinstance(block, dict):
                 plain.extend((prefix + key, _text(value)) for key, value in block.items())
-                continue
-            at_rows = _indexed(at, block.labels, where)
-            for name, texts in _grid_texts(block, _text, _fmt_all, str).items():
-                placed.setdefault(name, []).append((at_rows, texts))
+            elif add:
+                at_rows = _indexed(at, block.labels, where)
+                for name, texts in _grid_texts(block, _text, _fmt_all, str).items():
+                    placed.setdefault(name, []).append((at_rows, texts))
+            else:  # a verdict grid: each verdict that holds is named on its row
+                known = _indexed(at, block.labels, where)
+                for name, column in block.columns.items():
+                    holds = np.fromiter(map(bool, _values(column)), bool, len(known))
+                    holding[known[holds & (known >= 0)]] += name + ";"
 
     add = True
     file(report.exact_results.blocks)
@@ -324,14 +329,7 @@ def _split_groups(report):
     file(report.qm_reference.blocks, "qm.")
     add, n = False, len(order)
     holding = np.full(n, "", dtype=object)  # "<verdict>;" of each that holds
-    for block in report.verdicts.blocks:
-        if isinstance(block, dict):
-            plain.extend((key, _text(value)) for key, value in block.items())
-            continue
-        known = _indexed(at, block.labels, where)
-        for name, column in block.columns.items():
-            holds = np.fromiter(map(bool, _values(column)), bool, len(known))
-            holding[known[holds & (known >= 0)]] += name + ";"
+    file(report.verdicts.blocks)
 
     if not n:
         return [], plain
