@@ -3,8 +3,17 @@
     bellcheck run <scenario> [FLAGS] [--seed S] [--format table|json|csv] [--out PATH]
 
 scenarios.REGISTRY lists each scenario/mode (the first mode listed is the
-default), the FLAGS it reads and its runner, as README's CLI table does;
-WRITERS holds one writer per --format.  Any other flag is a usage error.
+default), the FLAGS it reads and its runner; WRITERS holds one writer per
+--format.  Any other flag is a usage error (exit 2):
+
+    epr-scan [--mode original|anticorrelated]    --angles START:STOP:STEP
+    chsh                                         --samples N
+    sequential [--mode clifford]                 --flip-prob P
+    sequential --mode bell-static|bell-hemisphere  --samples N
+    three-particle                               (none)
+    update-rule-search                           --grid-step G
+    constraint-check                             --angles START:STOP:STEP
+    bell-toy                                     --samples N
 
 Exit codes: 0 when every gated verdict holds (the documented behaviour,
 including the model failures the scenarios are built to demonstrate, was
@@ -129,15 +138,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return ns
 
 
-def _size(config: argparse.Namespace) -> str:
-    """A run's scenario and the size it asked for: grid points or samples."""
-    flags = scenarios.REGISTRY[config.scenario, config.mode].flags
-    grid = (config.angles if "--angles" in flags else
-            (0.0, 1.0, config.grid_step) if "--grid-step" in flags else None)
-    return config.scenario + (f" over {scenarios.grid_points(*grid):,} grid points" if grid else
-                              f" with {config.samples:,} samples" if "--samples" in flags else "")
-
-
 def run_scenario(config: argparse.Namespace) -> ScenarioReport:
     return scenarios.REGISTRY[config.scenario, config.mode].run(config)
 
@@ -156,8 +156,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bellcheck: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # A MemoryError raised by the allocator itself carries no text: name the run.
-        print(f"bellcheck: error: out of memory: {str(exc) or _size(config)}", file=sys.stderr)
+        # The allocator's own MemoryError has no text: name the run and the flags it read.
+        flags = scenarios.REGISTRY[config.scenario, config.mode].flags
+        run = [config.scenario, *(f"{f} {getattr(config, f[2:].replace('-', '_'))}" for f in flags)]
+        print(f"bellcheck: error: out of memory: {str(exc) or ' '.join(run)}", file=sys.stderr)
         return 2
     except Exception as exc:
         # Exit 1 is reserved for a gated verdict that differs.

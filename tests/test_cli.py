@@ -203,20 +203,23 @@ def test_memory_error_exits_2_with_message(monkeypatch, capsys):
     assert "out of memory: Unable to allocate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("runner, args, size", [
-    ("run_epr_scan", ["epr-scan", "--angles", "0:0.999998:0.000001"], "epr-scan over 999,999 grid points"),
+@pytest.mark.parametrize("runner, args, named", [
+    ("run_epr_scan", ["epr-scan", "--angles", "0:0.999998:0.000001"],
+     "epr-scan --angles (0.0, 0.999998, 1e-06) --mode original"),
     ("search_update_rules", ["update-rule-search", "--grid-step", "1e-5"],
-     "update-rule-search over 100,001 grid points"),
-    ("run_chsh", ["chsh", "--samples", "20000"], "chsh with 20,000 samples"),
+     "update-rule-search --grid-step 1e-05"),
+    ("run_chsh", ["chsh", "--samples", "20000"], "chsh --samples 20000"),
+    ("run_sequential", ["sequential", "--mode", "bell-static"],
+     "sequential --mode bell-static --samples 100000"),
     ("run_three_particle_search", ["three-particle"], "three-particle"),
 ])
-def test_memory_error_without_text_names_the_run(runner, args, size, monkeypatch, capsys):
+def test_memory_error_without_text_names_the_run(runner, args, named, monkeypatch, capsys):
     def exhausted(*_):
         raise MemoryError()
 
     monkeypatch.setattr(scenarios, runner, exhausted)
     assert cli.main(["run", *args]) == 2
-    assert capsys.readouterr().err == f"bellcheck: error: out of memory: {size}\n"
+    assert capsys.readouterr().err == f"bellcheck: error: out of memory: {named}\n"
 
 
 def test_internal_error_exits_2_with_message(monkeypatch, capsys):
