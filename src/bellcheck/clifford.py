@@ -40,34 +40,21 @@ GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 COEFF_TOL = 1e-12
 
 
-def _sort_with_sign(indices: list[int]) -> tuple[tuple[int, ...], int]:
-    """Sort generator indices by adjacent swaps, tracking the anticommutation
-    sign and contracting adjacent equal generators (metric +1)."""
-    sign, work, i = 1, list(indices), 0
-    while i < len(work) - 1:
-        if work[i] == work[i + 1]:
-            del work[i:i + 2]
-            i = max(i - 1, 0)
-        elif work[i] > work[i + 1]:
-            work[i], work[i + 1] = work[i + 1], work[i]
-            sign = -sign
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return tuple(work), sign
+def _sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Sort a product of generators (indices 0=x, 1=y, 2=z): each inverted pair
+    of distinct generators anticommutes, a sign of -1, and each pair of equal
+    ones contracts to +1 (the metric).  Returns the sorted blade and the sign."""
+    inversions = sum(a > b for k, a in enumerate(indices) for b in indices[k + 1:])
+    return tuple(g for g in range(3) if indices.count(g) % 2), (-1) ** inversions
 
 
 def _product_terms() -> tuple[tuple[int, int, int, int], ...]:
     """The product table: one (i, j, k, sign) term per blade pair, e_i e_j = sign e_k."""
     # e_blade = sign * e_canon for each stored blade, hence e_canon = sign * e_blade.
-    basis = {canon: (k, sign) for k, (canon, sign) in
-             enumerate(_sort_with_sign(list(blade)) for blade in _BLADES)}
-    terms = []
-    for i, bi in enumerate(_BLADES):
-        for j, bj in enumerate(_BLADES):
-            canon, sign = _sort_with_sign(list(bi + bj))
-            terms.append((i, j, basis[canon][0], sign * basis[canon][1]))
-    return tuple(terms)
+    basis = {canon: (k, sign) for k, (canon, sign) in enumerate(map(_sort_with_sign, _BLADES))}
+    products = ((i, j, *_sort_with_sign(bi + bj))
+                for i, bi in enumerate(_BLADES) for j, bj in enumerate(_BLADES))
+    return tuple((i, j, basis[canon][0], sign * basis[canon][1]) for i, j, canon, sign in products)
 
 
 PRODUCT_TERMS = _product_terms()
@@ -155,42 +142,23 @@ class Multivector:
     def render(self) -> str:
         """Debug rendering: "<coeff>·<blade>" terms in basis order, 12
         significant digits, zero terms omitted, all-zero printed as "0"."""
-        parts = [(c, label) for c, label in zip(self.coeffs, BASIS_LABELS) if c != 0.0]
-        if not parts:
-            return "0"
-        out = []
-        for pos, (coeff, label) in enumerate(parts):
-            mag = f"{abs(coeff):.12g}·{label}"
-            if pos == 0:
-                out.append(("-" if coeff < 0 else "") + mag)
-            else:
-                out.append(("- " if coeff < 0 else "+ ") + mag)
-        return " ".join(out)
+        return render_rows(np.array([self.coeffs]))[0]
 
     def __str__(self) -> str:
         return self.render()
 
 
-# Handy blade constants.
-ONE = Multivector.scalar(1.0)
-E_X = Multivector((0, 1, 0, 0, 0, 0, 0, 0))
-E_Y = Multivector((0, 0, 1, 0, 0, 0, 0, 0))
-E_Z = Multivector((0, 0, 0, 1, 0, 0, 0, 0))
-E_XY = Multivector((0, 0, 0, 0, 1, 0, 0, 0))
-E_YZ = Multivector((0, 0, 0, 0, 0, 1, 0, 0))
-E_ZX = Multivector((0, 0, 0, 0, 0, 0, 1, 0))
-I_BLADE = Multivector.pseudoscalar(1.0)
-BASIS_BLADES = (ONE, E_X, E_Y, E_Z, E_XY, E_YZ, E_ZX, I_BLADE)
+# The basis blades as Multivectors, in index order.
+ONE, E_X, E_Y, E_Z, E_XY, E_YZ, E_ZX, I_BLADE = BASIS_BLADES = tuple(
+    map(Multivector, np.eye(8).tolist()))
 
 
 def _product(x: Multivector, y: Multivector, product: str) -> Multivector:
     xc, yc = x.coeffs, y.coeffs
     acc = [0.0] * 8
     for i, j, k, sign in _TERMS[product]:
-        xi = xc[i]
-        yj = yc[j]
-        if xi != 0.0 and yj != 0.0:
-            acc[k] += sign * xi * yj
+        if xc[i] != 0.0 and yc[j] != 0.0:
+            acc[k] += sign * xc[i] * yc[j]
     return Multivector(tuple(acc))
 
 
@@ -232,6 +200,20 @@ def batch_product(x, y, product: str = "geometric") -> np.ndarray:
         if live_x[i] and live_y[j]:
             acc[:, k] += sign * x[..., i] * y[..., j]
     return acc
+
+
+def render_rows(coeffs: np.ndarray) -> list[str]:
+    """Multivector.render() of each row of an (N, 8) coefficient array: the
+    nonzero "<|coeff|>·<blade>" terms in basis order, 12 significant digits,
+    joined by " + " or " - ", the first signed "-" if negative; "0" for none."""
+    live = [(coeffs[:, k].tolist(), BASIS_LABELS[k]) for k in np.flatnonzero(coeffs.any(axis=0))]
+    if len(live) == 1:
+        form = "%.12g·" + live[0][1]
+        return [form % c if c else "0" for c in live[0][0]]
+    terms = [[f" {'-' if c < 0 else '+'} {abs(c):.12g}·{label}" if c != 0.0 else "" for c in column]
+             for column, label in live]
+    return [(text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
+            for text in map("".join, zip(*terms))] if terms else ["0"] * len(coeffs)
 
 
 # -- vectors ---------------------------------------------------------------
@@ -276,11 +258,7 @@ def unit_vectors(components) -> np.ndarray:
 # Images of the quaternion units inside the even subalgebra.  The reversed
 # bivectors are used because (ey ez)(ez ex) = -(ex ey): mapping the plain
 # cyclic bivectors onto i, j, k straight would only give an anti-isomorphism.
-QUATERNION_IMAGES: Mapping[str, Multivector] = {
-    "i": -E_YZ,
-    "j": -E_ZX,
-    "k": -E_XY,
-}
+QUATERNION_IMAGES: Mapping[str, Multivector] = {"i": -E_YZ, "j": -E_ZX, "k": -E_XY}
 
 
 def _hamilton(p: tuple[float, float, float, float],
@@ -306,10 +284,9 @@ def even_subalgebra_iso_check(images: Mapping[str, Multivector] = QUATERNION_IMA
     would add rounding, not power.  Returns False on any violation, so a
     swapped or negated image map fails.
     """
-    for blade in BASIS_BLADES:
-        if not geometric_product(I_BLADE, blade).approx_eq(geometric_product(blade, I_BLADE), 0.0):
-            return False
-    if not geometric_product(I_BLADE, I_BLADE).approx_eq(Multivector.scalar(-1.0), 0.0):
+    central = all(geometric_product(I_BLADE, b).approx_eq(geometric_product(b, I_BLADE), 0.0)
+                  for b in BASIS_BLADES)
+    if not central or not geometric_product(I_BLADE, I_BLADE).approx_eq(-ONE, 0.0):
         return False
 
     basis = (ONE, images["i"], images["j"], images["k"])

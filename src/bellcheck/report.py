@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .clifford import BASIS_LABELS, Multivector
+from .clifford import Multivector, render_rows
 
 
 def _fmt_all(values: list[float]) -> list[str]:
@@ -179,19 +179,6 @@ class Section(Mapping):
                    for b in self.blocks)
 
 
-def _render_rows(coeffs: np.ndarray) -> list[str]:
-    """Multivector(row).render() of each row of an (N, 8) coefficient array;
-    with one live blade, "%.12g·<blade>" % c, signed as render() signs it."""
-    live = [(coeffs[:, k].tolist(), BASIS_LABELS[k]) for k in np.flatnonzero(coeffs.any(axis=0))]
-    if len(live) == 1:
-        form = "%.12g·" + live[0][1]
-        return [form % c if c else "0" for c in live[0][0]]
-    terms = [[f" {'-' if c < 0 else '+'} {abs(c):.12g}·{label}" if c != 0.0 else "" for c in column]
-             for column, label in live]
-    return [(text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
-            for text in map("".join, zip(*terms))] if terms else ["0"] * len(coeffs)
-
-
 def _grid_texts(grid: Grid, text: Callable, numbers: Callable, quote: Callable) -> dict:
     """Field -> text of each value in its column: numbers(list) of a float
     array, "true"/"false" of a bool mask, quote() of each row a coefficient
@@ -201,7 +188,7 @@ def _grid_texts(grid: Grid, text: Callable, numbers: Callable, quote: Callable) 
         if not isinstance(column, np.ndarray):
             return list(map(text, column))
         if column.ndim == 2:
-            return list(map(quote, _render_rows(column)))
+            return list(map(quote, render_rows(column)))
         if column.dtype == bool:
             return ["true" if v else "false" for v in column.tolist()]
         values = column.tolist()
@@ -283,42 +270,36 @@ def _split_groups(report):
     a list of scenario-level (name, text) pairs.
 
     Each Grid feeds one row per group label, found once per label list (the
-    first list's as it stands), and puts each column's texts at those rows,
-    or takes them as they are if one grid holds them in row order.  Each
-    column starts with its header: "point", the fields in order of first
-    appearance, and "verdict" (the group's verdicts that hold); the table
-    is empty when no key is grouped.
+    first list's rows are its own order), and puts each column's texts at
+    those rows, or takes them as they are if one grid holds them in row
+    order.  Each column starts with its header: "point", the fields in order
+    of first appearance, and "verdict" (the group's verdicts that hold); the
+    table is empty when no key is grouped.
     """
     order: list[str] = []  # the label of each row
     rows: dict[str, int] = {}  # label -> row, built once a second label list is met
-    at: dict = {}  # label list -> its rows, -1 for a verdict's unknown label
+    at: dict = {}  # label list -> its rows
     placed: dict[str, list] = {}  # field -> (rows, texts) of each grid holding it
     plain: list[tuple[str, str]] = []
 
-    def where(labels: list[str]) -> np.ndarray:  # adds no row once the verdicts are read
-        if add and not order:
+    def where(labels: list[str]) -> np.ndarray:  # a grid's labels are distinct
+        if not order:
             order.extend(labels)
             return np.arange(len(labels))
         rows.update(zip(order[len(rows):], itertools.count(len(rows))))
-        order.extend(g for g in labels if add and g not in rows)  # a grid's labels are distinct
+        order.extend(g for g in labels if g not in rows)
         rows.update(zip(order[len(rows):], itertools.count(len(rows))))
-        return np.fromiter(map(rows.get, labels, itertools.repeat(-1)), int, len(labels))
+        return np.fromiter(map(rows.get, labels), int, len(labels))
 
     def file(blocks: list, prefix: str = "") -> None:
         for block in blocks:
             if isinstance(block, dict):
                 plain.extend((prefix + key, _text(value)) for key, value in block.items())
-            elif add:
-                at_rows = _indexed(at, block.labels, where)
-                for name, texts in _grid_texts(block, _text, _fmt_all, str).items():
-                    placed.setdefault(name, []).append((at_rows, texts))
-            else:  # a verdict grid: each verdict that holds is named on its row
-                known = _indexed(at, block.labels, where)
-                for name, column in block.columns.items():
-                    holds = np.fromiter(map(bool, _values(column)), bool, len(known))
-                    holding[known[holds & (known >= 0)]] += name + ";"
+                continue
+            at_rows = _indexed(at, block.labels, where)
+            for name, texts in _grid_texts(block, _text, _fmt_all, str).items():
+                placed.setdefault(name, []).append((at_rows, texts))
 
-    add = True
     file(report.exact_results.blocks)
     for key, m in report.mc_results.items():
         sep = ":" if ":" in key else "."
@@ -327,23 +308,29 @@ def _split_groups(report):
                        f"{key}{sep}samples": str(m.samples)}))
     # keep grouped fields as-is; label scenario-level ones as references
     file(report.qm_reference.blocks, "qm.")
-    add, n = False, len(order)
-    holding = np.full(n, "", dtype=object)  # "<verdict>;" of each that holds
-    file(report.verdicts.blocks)
+    points = order[:]  # a verdict's label that no result holds gets a row past these
+    holding = np.full(len(points), "", dtype=object)  # "<verdict>;" of each that holds
+    for block in report.verdicts.blocks:
+        if isinstance(block, dict):
+            plain.extend((key, _text(value)) for key, value in block.items())
+            continue
+        known = _indexed(at, block.labels, where)
+        for name, column in block.columns.items():
+            holds = np.fromiter(map(bool, _values(column)), bool, len(known))
+            holding[known[holds & (known < len(points))]] += name + ";"
 
-    if not n:
+    if not points:
         return [], plain
-    table = [["point", *order]]
+    table = [["point", *points]]
     for name, cells in placed.items():
-        if len(cells) == 1 and np.array_equal(cells[0][0], np.arange(n)):
+        if len(cells) == 1 and np.array_equal(cells[0][0], np.arange(len(points))):
             table.append([name, *cells[0][1]])
             continue
-        texts = np.full(n, "", dtype=object)
+        texts = np.full(len(points), "", dtype=object)
         for at_rows, values in cells:
             texts[at_rows] = values
         table.append([name, *texts.tolist()])
-    held = [text[:-1] for text in holding.tolist()] if holding.any() else [""] * n
-    return [*table, ["verdict", *held]], plain
+    return [*table, ["verdict", *[text[:-1] for text in holding.tolist()]]], plain
 
 
 def emit_csv(report) -> str:

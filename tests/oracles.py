@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from bellcheck.clifford import Multivector
+from bellcheck.clifford import BASIS_LABELS, Multivector
 from bellcheck.report import Section
 from bellcheck.scenarios import INFO, REGISTRY
 
@@ -113,13 +113,29 @@ def ref_graded_product(x_coeffs, y_coeffs, keep):
     return tuple(acc)
 
 
+def ref_render(coeffs) -> str:
+    """Multivector.render() text, term by term: "<coeff>·<blade>" terms in basis
+    order, 12 significant digits, zero terms omitted, all-zero printed as "0"."""
+    parts = [(c, label) for c, label in zip(coeffs, BASIS_LABELS) if c != 0.0]
+    if not parts:
+        return "0"
+    out = []
+    for pos, (coeff, label) in enumerate(parts):
+        mag = f"{abs(coeff):.12g}·{label}"
+        if pos == 0:
+            out.append(("-" if coeff < 0 else "") + mag)
+        else:
+            out.append(("- " if coeff < 0 else "+ ") + mag)
+    return " ".join(out)
+
+
 def _round12(x):
     return float(f"{x:.12g}")
 
 
 def _convert(value):
     if isinstance(value, Multivector):
-        return value.render()
+        return ref_render(value.coeffs)
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, np.integer)):
@@ -156,7 +172,7 @@ def _text(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, Multivector):
-        return value.render()
+        return ref_render(value.coeffs)
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)

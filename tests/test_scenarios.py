@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from bellcheck import scenarios
-from bellcheck.report import (Grid, _grid_keys, _items, _json_numbers, _render_rows, emit_csv,
+from bellcheck.report import (Grid, _grid_keys, _items, _json_numbers, emit_csv,
                               emit_table)
-from bellcheck.clifford import Multivector
+from bellcheck.clifford import Multivector, render_rows
 from bellcheck.models import CHUNK, MeterModel, UpdateRule
 from bellcheck.scenarios import (
     McResult,
@@ -495,16 +495,16 @@ _SPECIAL = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324
 
 
 def _rendered(coeffs):
-    return [Multivector(row).render() for row in coeffs.tolist()]
+    return [oracles.ref_render(row) for row in coeffs.tolist()]
 
 
 @pytest.mark.parametrize("blade", range(8))
 def test_render_rows_of_one_live_blade_match_render(blade):
     coeffs = np.zeros((len(_SPECIAL), 8))
     coeffs[:, blade] = _SPECIAL
-    assert _render_rows(coeffs) == _rendered(coeffs)
+    assert render_rows(coeffs) == _rendered(coeffs)
     coeffs[:, blade] = -0.0  # a blade holding only -0.0 is not live
-    assert _render_rows(coeffs) == ["0"] * len(_SPECIAL)
+    assert render_rows(coeffs) == ["0"] * len(_SPECIAL)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -514,14 +514,14 @@ def test_render_rows_of_one_live_blade_match_render(blade):
               [0.0] * 8]),
 ], ids=["zeros", "empty", "several-blades"])
 def test_render_rows_of_zero_and_several_blade_arrays_match_render(coeffs):
-    assert _render_rows(coeffs) == _rendered(coeffs)
+    assert render_rows(coeffs) == _rendered(coeffs)
 
 
 @given(st.lists(st.lists(st.sampled_from(_SPECIAL) | _FLOATS, min_size=8, max_size=8),
                 max_size=5))
 def test_render_rows_match_render(rows):
     coeffs = np.array(rows, dtype=float).reshape(-1, 8)
-    assert _render_rows(coeffs) == _rendered(coeffs)
+    assert render_rows(coeffs) == _rendered(coeffs)
 _SCALARS = st.one_of(
     _FLOATS,
     _FLOATS.map(np.float64),
@@ -742,10 +742,22 @@ def test_mc_memory_does_not_grow_with_samples(scenario):
     assert abs(peaks[1] - peaks[0]) <= 1e6, peaks
 
 
-# Traced peaks of the three writers on the 100,001-point search, as on Python
-# 3.11 before the writers were laid out in slices (JSON 30.6, CSV 22.4 and
-# table 25.9 MB), plus 10%.
-WRITER_PEAK_BOUNDS = {"json": 33.7e6, "csv": 24.6e6, "table": 28.5e6}
+def _traced_peak(make) -> int:
+    tracemalloc.start()
+    try:
+        make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Each writer's traced peak on the 100,001-point search over the traced peak of
+# splitting its own output into one string per line and joining them again, in
+# the same interpreter: both peaks count mostly small str objects, whose size
+# differs between Python versions.  The writers that built one string per line,
+# before the slices, read 0.854 (JSON), 2.048 (CSV) and 1.962 (table) on
+# Python 3.11; the bounds are those plus 10%.
+WRITER_PEAK_RATIOS = {"json": 0.94, "csv": 2.25, "table": 2.16}
 
 
 def test_writer_memory_on_the_largest_search():
@@ -753,15 +765,11 @@ def test_writer_memory_on_the_largest_search():
     passed = report.gate_passed()
     writers = {"json": report.to_json, "csv": lambda: emit_csv(report),
                "table": lambda: emit_table(report, passed)}
-    peaks = {}
+    ratios = {}
     for name, write in writers.items():
-        tracemalloc.start()
-        try:
-            write()
-            peaks[name] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert all(peaks[name] <= WRITER_PEAK_BOUNDS[name] for name in writers), peaks
+        text = write()
+        ratios[name] = _traced_peak(write) / _traced_peak(lambda: "\n".join(text.split("\n")))
+    assert all(ratios[name] <= WRITER_PEAK_RATIOS[name] for name in writers), ratios
 
 
 def test_gate_fails_when_expected_verdict_differs():
