@@ -236,14 +236,9 @@ class UpdateRule:
     @classmethod
     def post_z(cls, p: float) -> "UpdateRule":
         """Flip with probability p after a z measurement, never after x."""
-        probs = {(sign, "z"): p for sign in (1, -1)}
-        probs.update({(sign, "x"): 0.0 for sign in (1, -1)})
-        return cls(probs)
+        return cls({(sign, tag): p if tag == "z" else 0.0 for tag in "zx" for sign in (1, -1)})
 
 
 def apply_update(rule: UpdateRule, mu: HiddenState, direction_tag: str,
                  rng: np.random.Generator) -> HiddenState:
-    p = rule.prob(mu.mu_sign, direction_tag)
-    if rng.random() < p:
-        return HiddenState(-mu.mu_sign)
-    return mu
+    return HiddenState(-mu.mu_sign) if rule.prob(mu.mu_sign, direction_tag) > rng.random() else mu

@@ -53,11 +53,9 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def ket_z(sign: int) -> np.ndarray:
     """z-basis eigenstate with eigenvalue `sign` in {+1, -1}."""
-    if sign == 1:
-        return np.array([1, 0], dtype=complex)
-    if sign == -1:
-        return np.array([0, 1], dtype=complex)
-    raise ValueError("sign must be +1 or -1")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return np.array([sign == 1, sign == -1], dtype=complex)
 
 
 def singlet_state() -> np.ndarray:
@@ -119,8 +117,7 @@ def sequential_probabilities(state: np.ndarray,
     for n, outcome in zip(directions, outcomes):
         if outcome not in (1, -1):
             raise ValueError("outcomes must be +1 or -1")
-        projector = (IDENTITY_2 + outcome * spin_op(n)) / 2.0
-        psi = projector @ psi
+        psi = (IDENTITY_2 + outcome * spin_op(n)) / 2.0 @ psi  # the outcome's projector
     return float(np.vdot(psi, psi).real)
 
 

@@ -179,10 +179,9 @@ def grid_points(start: float, stop: float, step: float) -> int:
         raise ValueError("grid bounds and step must be finite")
     if step <= 0.0:
         raise ValueError("step must be positive")
-    span = stop - start
-    if span < 0.0:
+    if stop < start:
         raise ValueError("stop must not precede start")
-    intervals = span / step + 1e-9
+    intervals = (stop - start) / step + 1e-9
     if intervals >= MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
     return int(math.floor(intervals)) + 1
@@ -222,10 +221,8 @@ class ScenarioReport:
                  seed: int = 0):
         self.scenario_name = scenario_name
         index: dict = {}  # a runner hands one label list to the grids of several sections
-        self.parameters = Section(parameters, index)
-        self.exact_results = Section(exact_results, index)
-        self.qm_reference = Section(qm_reference, index)
-        self.verdicts = Section(verdicts, index)
+        self.parameters, self.exact_results, self.qm_reference, self.verdicts = (
+            Section(s, index) for s in (parameters, exact_results, qm_reference, verdicts))
         self.mc_results = {} if mc_results is None else mc_results
         self.seed = seed
 
@@ -277,18 +274,10 @@ class ScenarioReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioReport":
-        return cls(
-            scenario_name=data["scenario_name"],
-            parameters=dict(data["parameters"]),
-            exact_results=dict(data["exact_results"]),
-            mc_results={
-                k: McResult(m["estimate"], m["standard_error"], m["samples"])
-                for k, m in data["mc_results"].items()
-            },
-            qm_reference=dict(data["qm_reference"]),
-            verdicts=dict(data["verdicts"]),
-            seed=data["seed"],
-        )
+        sections = ("parameters", "exact_results", "qm_reference", "verdicts")
+        return cls(data["scenario_name"], **{name: dict(data[name]) for name in sections},
+                   mc_results={k: McResult(**m) for k, m in data["mc_results"].items()},
+                   seed=data["seed"])
 
 
 def _check_samples(samples: int, zero_ok: bool = False) -> None:
@@ -530,13 +519,11 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     if not 0.0 < grid_step <= 0.1:
         raise ValueError("grid_step must be in (0, 0.1]")
 
-    grid = closed_grid(0.0, 1.0, grid_step)
-    p = np.array(grid)
+    p = np.array(closed_grid(0.0, 1.0, grid_step))
     # The one p the targets single out, 1/2, is tried on every grid: inserted
     # at its sorted place when no grid point is within FEASIBILITY_TOL of it.
     if not _close(p, 0.5, FEASIBILITY_TOL).any():
         p = np.insert(p, np.searchsorted(p, 0.5), 0.5)
-        grid = p.tolist()
     p_zz = p_zx = 1.0 - p
 
     def meets(zz: float, zx: float) -> np.ndarray:
@@ -545,7 +532,7 @@ def search_update_rules(grid_step: float = DEFAULT_GRID_STEP) -> ScenarioReport:
     oks = meets(1.0, 0.5)
     feasible, relaxed_repeat, relaxed_uniform = (
         p[mask].tolist() for mask in (oks, meets(1.0, 1.0), meets(0.5, 0.5)))
-    groups = ["p=%.12g" % t for t in grid]
+    groups = ["p=%.12g" % t for t in p.tolist()]
 
     exact = {"feasible_count": len(feasible),
              "relaxed_repeat_count": len(relaxed_repeat),
@@ -598,14 +585,10 @@ def run_three_particle_search() -> ScenarioReport:
     pair-by-pair fixes do exist, and the forced third-meter convention
     C(+-I) = -+ I e_z repairs (A,C) while breaking (B,C).
     """
-    pattern = (1, -1, 1)
-    qm_ref = {
-        "E_AB": quantum.product_state_correlation(pattern, (0, 1), E_Z),
-        "E_AC": quantum.product_state_correlation(pattern, (0, 2), E_Z),
-        "E_BC": quantum.product_state_correlation(pattern, (1, 2), E_Z),
-        "control_E_AB": quantum.product_state_correlation((1, -1), (0, 1), E_Z),
-    }
-    pairs = ("AB", "AC", "BC")
+    pattern, pairs = (1, -1, 1), ("AB", "AC", "BC")
+    qm_ref = {f"E_{p}": quantum.product_state_correlation(pattern, tuple(map("ABC".index, p)), E_Z)
+              for p in pairs}
+    qm_ref["control_E_AB"] = quantum.product_state_correlation((1, -1), (0, 1), E_Z)
     # The model is read once per meter option: its legs at each mu, and its
     # pair expectations over ordered option pairs as 4 x 4 tables.
     legs = {mu: np.array([meter_outcome(m, E_Z, mu) for m in _METER_OPTIONS])
