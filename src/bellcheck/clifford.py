@@ -144,8 +144,7 @@ class Multivector:
         significant digits, zero terms omitted, all-zero printed as "0"."""
         return render_rows(np.array([self.coeffs]))[0]
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 # The basis blades as Multivectors, in index order.

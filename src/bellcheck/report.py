@@ -354,6 +354,7 @@ def emit_table(report, passed: bool) -> str:
         # Each column but the last padded to its width: that padding would be stripped.
         form = "".join(f"%-{max(map(len, column))}s  " for column in table[:-1]) + "%s"
         lines += ["", *((form % row).rstrip() for row in zip(*table))]
+        del table  # the rows hold its cells' text now: free them before the join
     if plain:
         lines.extend(["", "results:", *(f"  {name}: {value}" for name, value in plain)])
     lines += ["", f"gate: {'PASS' if passed else 'FAIL'}"]
