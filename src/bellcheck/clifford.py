@@ -13,15 +13,14 @@ ex -> ey ez, ey -> ez ex, ez -> ex ey without extra signs.
 
 Products are driven by one table of (i, j, k, sign) terms built once from
 integer blade arithmetic, with the inner and outer products as grade
-predicates on it.  `batch_product` applies the same terms in the same order
-to (N, 8) coefficient arrays, so a grid is one pass with the scalar loop's
-sums.
+predicates on it.  The scalar loop, the faster on one row, and
+`batch_product`, on (N, 8) arrays, apply the same terms in the same order.
+Every other row operation is written once, in batch form: the scalar
+`coeff_norm`, `unit_vector` and `render` are its one-row calls.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -134,7 +133,7 @@ class Multivector:
         return self.coeffs[0]
 
     def coeff_norm(self) -> float:
-        return math.sqrt(sum(map(operator.mul, self.coeffs, self.coeffs)))
+        return float(row_norms(np.array([self.coeffs]))[0])
 
     def approx_eq(self, other: "Multivector", tol: float = COEFF_TOL) -> bool:
         return all(abs(a - b) <= tol for a, b in zip(self.coeffs, other.coeffs))
@@ -221,18 +220,14 @@ UNIT_TOL = 1e-12
 
 
 def unit_vector(components: Sequence[float]) -> Vec3:
-    """Validate a 3-vector as unit length within 1e-12 and return a tuple."""
-    x, y, z = (float(c) for c in components)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if not abs(norm - 1.0) <= UNIT_TOL:
-        raise ValueError(f"vector {components!r} has norm {norm!r}, expected 1")
-    return (x, y, z)
+    """`unit_vectors` of one 3-vector, returned as a tuple."""
+    return tuple(unit_vectors([components])[0].tolist())
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
     """Norm of each row of an (N, k) array, the squares summed left to right
-    in place: bit for bit np.linalg.norm(v, axis=1) on (N, 3) directions and
-    Multivector(row).coeff_norm() on (N, 8) coefficient rows."""
+    in place: bit for bit np.linalg.norm(v, axis=1) on (N, 3) directions;
+    Multivector.coeff_norm is its one-row call."""
     acc = v[:, 0] * v[:, 0]
     for k in range(1, v.shape[1]):
         acc += v[:, k] * v[:, k]
@@ -240,7 +235,7 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def unit_vectors(components) -> np.ndarray:
-    """Batched `unit_vector`: the same norm test on each row of an (N, 3) array."""
+    """Validate each row of an (N, 3) array as unit length within 1e-12."""
     v = np.asarray(components, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) array of vectors, got shape {v.shape}")

@@ -2,6 +2,7 @@
 
 State vectors with explicit projective collapse; dimensions never exceed 8,
 so dense complex matrices are exact enough for every comparison made here.
+Every state and operator, the singlet oracle's stacks too, comes from `tensor`.
 Spin observables carry eigenvalues +-1 (outcome labels; no hbar/2 anywhere)
 and only probabilities and expectation values are ever exposed.
 """
@@ -38,15 +39,16 @@ def batch_spin_op(n) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices, left factor as the
-    slower index: np.kron's values from one outer product, without its
-    per-call overhead."""
+    """Kronecker product of two vectors, two matrices or two equal-length
+    stacks of matrices over the last two axes, left factor as the slower
+    index: np.kron's values, one product per entry, without its overhead."""
     a, b = np.asarray(a), np.asarray(b)
-    out = np.multiply.outer(a, b)
-    if a.ndim == 2:
-        out = out.transpose(0, 2, 1, 3)
-    out = out.reshape([m * n for m, n in zip(a.shape, b.shape)])
-    if out.size > (64 if out.ndim == 2 else 8):
+    if a.ndim == 1:
+        out = np.multiply.outer(a, b).reshape(-1)
+    else:
+        out = a[..., :, None, :, None] * b[..., None, :, None, :]
+        out = out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    if max(out.shape[-2:]) > 8:
         raise ValueError("tensor product exceeds 3 spin-1/2 particles")
     return out
 
@@ -87,17 +89,14 @@ def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
 def batch_singlet_correlation(a, b) -> np.ndarray:
     """`singlet_correlation` for each row pair of two (N, 3) direction
     arrays, still a dense-state computation: the singlet state is built once
-    and the (4, 4) operators (a.sigma) x (b.sigma) are applied to it
+    and the (4, 4) operators tensor(a.sigma, b.sigma) are applied to it
     SINGLET_BLOCK rows at a time, so the working set does not grow with N."""
     a, b = unit_vectors(a), unit_vectors(b)
     if a.shape != b.shape:
         raise ValueError("direction arrays must have the same length")
     state, values = singlet_state(), np.empty(len(a))
     for rows in (slice(k, k + SINGLET_BLOCK) for k in range(0, len(a), SINGLET_BLOCK)):
-        a_ops, b_ops = batch_spin_op(a[rows]), batch_spin_op(b[rows])
-        # Row-wise Kronecker product, left factor as the slower index.
-        ops = (a_ops[:, :, None, :, None] * b_ops[:, None, :, None, :]).reshape(-1, 4, 4)
-        values[rows] = expectation(ops, state)
+        values[rows] = expectation(tensor(batch_spin_op(a[rows]), batch_spin_op(b[rows])), state)
     return values
 
 

@@ -340,7 +340,7 @@ def emit_csv(report) -> str:
     lines = [*_joined("\n", parts, len(table and table[0])), *[""] * bool(table and plain)]
     if plain or not table:
         lines += ["name,value", *(f"{name},{value}" for name, value in plain)]
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def emit_table(report, passed: bool) -> str:
@@ -360,4 +360,4 @@ def emit_table(report, passed: bool) -> str:
     lines += ["", f"gate: {'PASS' if passed else 'FAIL'}"]
     if "consistent_assignments" in report.exact_results:
         lines.append(f"consistent assignments: {int(report.exact_results['consistent_assignments'])}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])

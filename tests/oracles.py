@@ -13,6 +13,11 @@ then laid out by the standard library's json.dumps.  `ref_emit_csv`,
 table writers and the gate: they read the report's section dicts key by
 key, where the program reads its blocks column by column.
 
+`ref_coeff_norm`, `ref_unit_vector` and `ref_tensor` are the scalar forms
+of `Multivector.coeff_norm`, `clifford.unit_vector` and `quantum.tensor`,
+which are now calls of their batch forms: a left-to-right sum of squares,
+the norm test on three floats, and one outer product per pair of factors.
+
 `ref_random_unit_vectors` and `ref_hemisphere_samples` are the references for
 the lambda samplers: np.linalg.norm of each normal triple, and the wrong
 side of the hemisphere flipped by a boolean gather and scatter.
@@ -25,6 +30,7 @@ errors of whole arrays.
 
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -127,6 +133,31 @@ def ref_render(coeffs) -> str:
         else:
             out.append(("- " if coeff < 0 else "+ ") + mag)
     return " ".join(out)
+
+
+def ref_coeff_norm(coeffs) -> float:
+    return math.sqrt(sum(map(operator.mul, coeffs, coeffs)))
+
+
+def ref_unit_vector(components):
+    """The unit-norm test within 1e-12 on a 3-vector; the vector as a tuple."""
+    x, y, z = (float(c) for c in components)
+    norm = math.sqrt(x * x + y * y + z * z)
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"vector {components!r} has norm {norm!r}, expected 1")
+    return (x, y, z)
+
+
+def ref_tensor(a, b):
+    """Kronecker product of two vectors or two matrices from one outer product."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.multiply.outer(a, b)
+    if a.ndim == 2:
+        out = out.transpose(0, 2, 1, 3)
+    out = out.reshape([m * n for m, n in zip(a.shape, b.shape)])
+    if out.size > (64 if out.ndim == 2 else 8):
+        raise ValueError("tensor product exceeds 3 spin-1/2 particles")
+    return out
 
 
 def _round12(x):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_batch_product_rejects_bad_shapes_and_names():
 
 def test_unit_vectors_apply_the_scalar_norm_test():
     good = [(0.0, 0.0, 1.0), normalized((1.0, 2.0, 3.0))]
-    assert unit_vectors(good).tolist() == [list(unit_vector(v)) for v in good]
+    assert unit_vectors(good).tolist() == [list(oracles.ref_unit_vector(v)) for v in good]
     for bad in ((0.0, 0.0, 1.001), (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0)):
         with pytest.raises(ValueError):
             unit_vector(bad)
@@ -350,10 +351,45 @@ def test_iso_check_takes_images_only():
 
 def test_unit_vector_accepts_unit_and_rejects_others():
     assert unit_vector((0, 0, 1)) == (0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        unit_vector((0, 0, 1.001))
-    with pytest.raises(ValueError):
-        unit_vector((0, 0, 0))
+    # The texts of unit_vectors: the vector's floats, and a shape for a wrong length.
+    for bad, text in (((0, 0, 1.001), "vector (0.0, 0.0, 1.001) has norm 1.001, expected 1"),
+                      ((0, 0, 0), "vector (0.0, 0.0, 0.0) has norm 0.0, expected 1"),
+                      ((0, 1), "expected an (N, 3) array of vectors, got shape (1, 2)"),
+                      ((0, 0, 1, 0), "expected an (N, 3) array of vectors, got shape (1, 4)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            unit_vector(bad)
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+# Coefficients with signed zeros, subnormals and the smallest normal among them.
+edge_coeff = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                        -1e-310, 1.0, -1.0]),
+                       st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=True))
+
+
+@given(st.lists(edge_coeff, min_size=8, max_size=8))
+def test_coeff_norm_is_the_scalar_reference_bit_for_bit(coeffs):
+    assert _bits(Multivector(coeffs).coeff_norm()) == _bits(oracles.ref_coeff_norm(coeffs))
+
+
+def _outcome(fn, components):
+    try:
+        return _bits(fn(components))
+    except ValueError:
+        return "refused"
+
+
+near_unit = st.tuples(directions, st.floats(min_value=1 - 4e-12, max_value=1 + 4e-12)).map(
+    lambda pair: tuple(c * pair[1] for c in pair[0]))
+
+
+@given(st.one_of(st.tuples(*[st.integers(-2, 2)] * 3), near_unit,
+                 st.tuples(*[edge_coeff] * 3)))
+def test_unit_vector_is_the_scalar_reference_bit_for_bit(components):
+    assert _outcome(unit_vector, components) == _outcome(oracles.ref_unit_vector, components)
 
 
 def test_vector_embedding_roundtrip():

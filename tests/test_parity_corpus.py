@@ -1,11 +1,13 @@
 """tools/parity_corpus.txt names every registry variant in every format,
-the help text, sample counts that straddle the lambda chunk and the three
-seeded Monte Carlo false alarms.  The parity tool itself is not run here:
+the help text, sample counts that straddle the lambda chunk, the three
+seeded Monte Carlo false alarms and an update-rule-search grid step that
+puts no grid point on p = 1/2.  The parity tool itself is not run here:
 it starts two processes per line."""
 
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 from bellcheck import cli, scenarios
@@ -64,3 +66,22 @@ def test_corpus_straddles_the_lambda_chunk(corpus, variant, monkeypatch, capsys)
                if not env and (ns.scenario, ns.mode) == variant and ns.format == "json"}
     capsys.readouterr()
     assert {CHUNK + 1, 3 * CHUNK + 5} <= samples
+
+
+def _off_lattice(step: float) -> bool:
+    """Whether the search takes `step` and no point of its grid is on p = 1/2."""
+    try:
+        grid = np.array(scenarios.closed_grid(0.0, 1.0, step))
+    except ValueError:  # a grid over the cap, which the search refuses too
+        return False
+    return step <= 0.1 and not (np.abs(grid - 0.5) <= scenarios.FEASIBILITY_TOL).any()
+
+
+def test_corpus_holds_an_off_lattice_grid_step(corpus, monkeypatch, capsys):
+    # The search inserts p = 1/2 on such a grid; on the default step it is a grid point.
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    steps = {ns.grid_step for env, ns in _parsed(corpus)
+             if not env and ns.scenario == "update-rule-search" and ns.grid_step is not None}
+    capsys.readouterr()
+    assert not _off_lattice(scenarios.DEFAULT_GRID_STEP)
+    assert any(map(_off_lattice, steps))

@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellcheck import quantum, scenarios
+
+import oracles
 
 EZ = (0.0, 0.0, 1.0)
 EX = (1.0, 0.0, 0.0)
@@ -67,6 +70,45 @@ def test_tensor_equals_np_kron_bit_for_bit(rng):
                      (draw(2, 2), draw(2, 2)), (draw(4, 4), draw(2, 2))):
             assert quantum.tensor(a, b).tobytes() == np.kron(a, b).tobytes()
             assert quantum.tensor(a, b).shape == np.kron(a, b).shape
+
+
+# Entries with signed zeros and subnormals among them, as complex pairs.
+entry = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1.0, -1.0]),
+                  st.floats(min_value=-1e100, max_value=1e100))
+
+
+def complex_arrays(*shape):
+    size = 2 * math.prod(shape)
+    return st.lists(entry, min_size=size, max_size=size).map(
+        lambda xs: np.array(xs).view(complex).reshape(shape))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.tuples(complex_arrays(2, 2), complex_arrays(2, 2)),
+                 st.tuples(complex_arrays(4, 4), complex_arrays(2, 2)),
+                 st.tuples(complex_arrays(2), complex_arrays(2)),
+                 st.tuples(complex_arrays(4), complex_arrays(2))))
+def test_tensor_is_the_outer_product_reference_bit_for_bit(pair):
+    got, want = quantum.tensor(*pair), oracles.ref_tensor(*pair)
+    assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(complex_arrays(n, 2, 2),
+                                                     complex_arrays(n, 2, 2))))
+def test_tensor_of_stacks_is_the_reference_row_by_row(stacks):
+    a, b = stacks
+    got = quantum.tensor(a, b)
+    assert got.shape == (len(a), 4, 4)
+    assert got.tobytes() == b"".join(oracles.ref_tensor(x, y).tobytes() for x, y in zip(a, b))
+
+
+def test_tensor_refuses_more_than_three_particles():
+    for a, b in ((np.ones(8), np.ones(2)), (np.eye(8), np.eye(2)), (np.eye(4), np.eye(4)),
+                 (np.ones((3, 4, 4)), np.ones((3, 4, 4))), (np.ones((3, 8, 8)), np.ones((3, 2, 2)))):
+        with pytest.raises(ValueError, match="exceeds 3 spin-1/2 particles"):
+            quantum.tensor(a, b)
+    assert quantum.tensor(np.ones((3, 4, 4)), np.ones((3, 2, 2))).shape == (3, 8, 8)
 
 
 def test_tensor_eigenstate():
