@@ -136,6 +136,7 @@ def ref_render(coeffs) -> str:
 
 
 def ref_coeff_norm(coeffs) -> float:
+    """The square root of the squares summed left to right by sum()."""
     return math.sqrt(sum(map(operator.mul, coeffs, coeffs)))
 
 
