@@ -21,9 +21,9 @@ reproduced), 1 when some gated verdict differs, 2 for usage errors and
 invalid parameters (including non-finite angles, grids of more than
 1,000,000 points, --samples outside 10,000..10,000,000 other than chsh's 0,
 and running out of memory) and for internal errors, 3 when the report cannot
-be written, to the --out path or to stdout (a full disk, or a reader such as
-`| head` that closes the pipe early).  Identical invocations produce
-byte-identical output.
+be written by the one write loop that serves --out and stdout alike (a full
+disk, or a reader such as `| head` that closes the pipe early).  Identical
+invocations produce byte-identical output.
 BELLCHECK_SEED overrides the default seed when --seed is absent.  BLAS runs
 on one thread unless OPENBLAS_NUM_THREADS is set.  Angles are radians; CSV is
 comma-separated, UTF-8, LF.
@@ -32,6 +32,7 @@ comma-separated, UTF-8, LF.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -168,16 +169,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     blocks = (text[i:i + WRITE_BLOCK].encode("utf-8") for i in range(0, len(text), WRITE_BLOCK))
     try:
-        if config.out is None:
-            # Under python -u the binary layer is a raw file, whose write may
-            # take only part of the data (a pipe closed mid-write): loop.
+        # Under python -u stdout's binary layer is a raw file, whose write may
+        # take only part of the data (a pipe closed mid-write): loop.
+        with (contextlib.nullcontext(sys.stdout.buffer) if config.out is None
+              else open(config.out, "wb")) as handle:
             for view in map(memoryview, blocks):
                 while view:
-                    view = view[sys.stdout.buffer.write(view):]
-            sys.stdout.buffer.flush()
-        else:
-            with open(config.out, "wb") as handle:
-                handle.writelines(blocks)
+                    view = view[handle.write(view):]
+            handle.flush()
     except OSError as exc:
         if config.out is None:
             # As Python's signal docs advise for a closed pipe: point stdout at

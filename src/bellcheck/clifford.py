@@ -85,10 +85,6 @@ class Multivector:
         return Multivector((0.0,) * 8)
 
     @staticmethod
-    def scalar(value: float) -> "Multivector":
-        return Multivector((float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-
-    @staticmethod
     def pseudoscalar(value: float = 1.0) -> "Multivector":
         return Multivector((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(value)))
 

@@ -227,10 +227,10 @@ def _json_value(value, indent: str) -> str:
     """JSON text of one report value, laid out as json.dumps(indent=2).
 
     Floats (numpy floats included) are rounded to 12 significant digits,
-    numpy integers become ints and Multivectors their render() string."""
+    numpy integers and booleans as ints and bools, Multivectors as render()."""
     if isinstance(value, (float, np.floating)):
         return _json_numbers([float(value)])[0]
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -254,7 +254,7 @@ def _text(value) -> str:
         return "%.12g" % value
     if isinstance(value, Multivector):
         return value.render()
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return str(value)
 
@@ -303,9 +303,7 @@ def _split_groups(report):
     file(report.exact_results.blocks)
     for key, m in report.mc_results.items():
         sep = ":" if ":" in key else "."
-        file(_regroup({f"{key}{sep}estimate": m.estimate,
-                       f"{key}{sep}standard_error": m.standard_error,
-                       f"{key}{sep}samples": str(m.samples)}))
+        file(_regroup({f"{key}{sep}{field}": value for field, value in vars(m).items()}))
     # keep grouped fields as-is; label scenario-level ones as references
     file(report.qm_reference.blocks, "qm.")
     points = order[:]  # a verdict's label that no result holds gets a row past these

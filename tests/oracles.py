@@ -168,8 +168,8 @@ def _round12(x):
 def _convert(value):
     if isinstance(value, Multivector):
         return ref_render(value.coeffs)
-    if isinstance(value, bool):
-        return value
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
@@ -205,7 +205,7 @@ def _text(value) -> str:
         return f"{value:.12g}"
     if isinstance(value, Multivector):
         return ref_render(value.coeffs)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return str(value)
 

@@ -17,6 +17,7 @@ from bellcheck.clifford import (
     E_YZ,
     E_ZX,
     I_BLADE,
+    ONE,
     Multivector,
     QUATERNION_IMAGES,
     even_subalgebra_iso_check,
@@ -61,12 +62,11 @@ def test_criterion_1_algebra_kernel():
     for blade in BASIS_BLADES:
         diff = geometric_product(I_BLADE, blade) - geometric_product(blade, I_BLADE)
         assert max(map(abs, diff.coeffs)) == 0.0
-    assert geometric_product(I_BLADE, I_BLADE) == Multivector.scalar(-1.0)
+    assert geometric_product(I_BLADE, I_BLADE) == -ONE
 
     i, j, k = (QUATERNION_IMAGES[n] for n in ("i", "j", "k"))
-    one = Multivector.scalar(1.0)
     quaternion_table = {
-        (i, i): -one, (j, j): -one, (k, k): -one,
+        (i, i): -ONE, (j, j): -ONE, (k, k): -ONE,
         (i, j): k, (j, i): -k, (j, k): i, (k, j): -i, (k, i): j, (i, k): -j,
     }
     for (a, b), want in quaternion_table.items():

@@ -376,6 +376,35 @@ def test_failed_stdout_write_exits_3(tmp_path, capsys):
         "bellcheck: cannot write <stdout>: [Errno 28] No space left on device\n")
 
 
+class _ShortStdout:
+    """A stdout whose binary write takes at most 4,096 bytes per call, as a
+    raw pipe may; it is its own binary layer."""
+
+    def __init__(self):
+        self.buffer = self
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data[:4096]
+        return min(len(data), 4096)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", sorted(cli.WRITERS))
+def test_short_stdout_writes_receive_the_whole_report(fmt, tmp_path, monkeypatch):
+    # Blocks of 10,000 characters, so that each ends in a write shorter than 4,096.
+    monkeypatch.setattr(cli, "WRITE_BLOCK", 10_000)
+    args = ["run", "epr-scan", "--angles", "0:3.14159:0.005", "--format", fmt]
+    stdout = _ShortStdout()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(args) == 0
+    assert cli.main([*args, "--out", str(tmp_path / "report")]) == 0
+    assert len(stdout.data) > 3 * 10_000
+    assert bytes(stdout.data) == (tmp_path / "report").read_bytes()
+
+
 def _bellcheck(*args, **popen):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bellcheck.__file__)))
     return subprocess.Popen([sys.executable, "-m", "bellcheck.cli", "run", *args],

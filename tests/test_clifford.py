@@ -65,7 +65,7 @@ def test_orthogonal_generators_anticommute_into_bivector():
 
 
 def test_pseudoscalar_squares_to_minus_one():
-    assert geometric_product(I_BLADE, I_BLADE) == Multivector.scalar(-1.0)
+    assert geometric_product(I_BLADE, I_BLADE) == -ONE
 
 
 def test_unit_vector_squares_to_scalar_one():
@@ -117,7 +117,7 @@ def test_pseudoscalar_central_on_blades_exactly():
 def test_vector_square_is_squared_norm(v):
     mv = Multivector((0.0, *v, 0.0, 0.0, 0.0, 0.0))
     norm_sq = sum(c * c for c in v)
-    assert geometric_product(mv, mv).approx_eq(Multivector.scalar(norm_sq), 1e-12)
+    assert geometric_product(mv, mv).approx_eq(Multivector((norm_sq,) + (0.0,) * 7), 1e-12)
 
 
 # -- batched product ---------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellcheck import scenarios
-from bellcheck.clifford import Multivector, row_norms
+from bellcheck.clifford import ONE, Multivector, row_norms
 from bellcheck.models import (
     CHUNK,
     FLIPPED,
@@ -206,7 +206,7 @@ def test_constraint_check_square_is_minus_one_for_any_meter(rng):
         meter_b = MeterModel(def_sign=int(rng.choice([1, -1])))
         a, b = random_direction(rng), random_direction(rng)
         audit = constraint_check(meter_a, meter_b, a, b)
-        assert audit.square_avg.approx_eq(Multivector.scalar(-1.0), 1e-12)
+        assert audit.square_avg.approx_eq(-ONE, 1e-12)
 
 
 def test_constraint_check_matches_table_brute_force(rng):

@@ -529,6 +529,7 @@ _SCALARS = st.one_of(
     st.integers(-2 ** 70, 2 ** 70),
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.booleans(),
+    st.booleans().map(np.bool_),
     st.none(),
     st.text(),
     st.sampled_from(['quote " and backslash \\', "tab\tnewline\n\x00\x1f", "π·ezx ∅"]),
