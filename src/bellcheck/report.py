@@ -3,12 +3,12 @@
 A report section is a Section: an ordered list of blocks, each a dict of
 plain keys or a Grid of group labels and named columns, read as one dict
 whose keys run in block order.  A section is built once and never written
-to; _regroup files the "<group>:<field>" keys of a dict, or of a grid whose
-labels repeat, in Grids.  Grid runners fill whole columns from arrays,
-and the writers read the blocks as they are: each column is formatted
-once and _joined lays out SLICE lines at a time by strided slice
-assignment, without building a string per line, a dict of a section or a
-Multivector per row.  Each label list is checked, quoted and placed once.
+to; _regroup files the "<group>:<field>" keys of a dict in Grids, and a
+grid whose labels repeat keeps one row per label.  The writers read the
+blocks as they are: each column is formatted once and _joined lays out
+SLICE lines at a time by strided slice assignment, without building a
+string per line, a dict of a section or a Multivector per row.  Each label
+list is checked, quoted and placed once.
 """
 
 from __future__ import annotations
@@ -107,18 +107,9 @@ def _keys(block) -> Iterable[str]:
     return itertools.chain.from_iterable(zip(*[_grid_keys(block, f) for f in block.columns]))
 
 
-def _items(block) -> Iterable[tuple[str, object]]:
-    """A block's (key, value) entries, in key order."""
-    if isinstance(block, dict):
-        return block.items()
-    values = zip(*map(_values, block.columns.values()))
-    return zip(_keys(block), itertools.chain.from_iterable(values))
-
-
 def _regroup(entries: dict) -> list:
-    """The entries as blocks, in key order: each run of plain keys in a
-    dict, and each run of consecutive points ("<label>:<field>" keys of one
-    label) that have the same fields in one Grid."""
+    """A flat dict's entries as blocks, in key order: each run of plain keys in a
+    dict, and each run of points ("<label>:<field>" keys) with the same fields in a Grid."""
     blocks: list = []
     shape = None  # the fields of the last block, () for a dict
     split = ((*key.partition(":"), value) for key, value in entries.items())
@@ -145,20 +136,24 @@ class Section(Mapping):
 
     It is built from a dict, a list of blocks or None, and is read-only.
     Every "<group>:<field>" key is kept in a Grid and every plain key in a
-    dict: a dict holding grouped keys and a grid whose labels repeat (grid
-    points equal to 12 digits) are refiled by _regroup, a repeated key
-    keeping its first position and its last value.  The sections of a
-    report share one index (see _indexed) of what each label list gives."""
+    dict: _regroup refiles a dict holding grouped keys, and a grid whose
+    labels repeat (points equal to 12 digits) keeps each label's first
+    position and last row, column by column, as a dict keeps a repeated
+    key.  The sections of a report share one index (see _indexed)."""
 
     def __init__(self, entries: dict | list | None = None, index: dict | None = None):
         self.blocks: list = []
         self.index = {} if index is None else index
         for block in entries if isinstance(entries, list) else [entries or {}]:
-            if (":" not in "".join(block) if isinstance(block, dict)
-                    else _indexed(self.index, block.labels, _distinct)):
+            if isinstance(block, dict):
+                self.blocks.extend(_regroup(block) if ":" in "".join(block) else [block])
+            elif _indexed(self.index, block.labels, _distinct):
                 self.blocks.append(block)
-            else:
-                self.blocks.extend(_regroup(dict(_items(block))))
+            else:  # each label at its first row, with its last row's values
+                rows = list(block.rows.values())
+                self.blocks.append(Grid(list(block.rows), {
+                    f: c[rows] if isinstance(c, np.ndarray) else [c[r] for r in rows]
+                    for f, c in block.columns.items()}))
 
     def __getitem__(self, key: str):
         label, grouped, field = key.partition(":")
@@ -252,8 +247,6 @@ def _text(value) -> str:
     """CSV and table text of one report value."""
     if isinstance(value, float):
         return "%.12g" % value
-    if isinstance(value, Multivector):
-        return value.render()
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return str(value)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import quantum
-from .clifford import GRADES, ONE, Vec3, row_norms, unit_vectors
+from .clifford import GRADES, ONE, Vec3, row_norms
 from .models import (
     FLIPPED,
     MU_MINUS,
@@ -673,7 +673,7 @@ def run_constraint_check(direction_pairs) -> ScenarioReport:
         raise ValueError(f"expected an (N, 2, 3) array of direction pairs, got shape {pairs.shape}")
 
     meter = MeterModel()
-    audit = batch_constraint_check(meter, meter, *map(unit_vectors, pairs.transpose(1, 0, 2)))
+    audit = batch_constraint_check(meter, meter, *pairs.transpose(1, 0, 2))
     # Every coefficient within EXACT_TOL, row by row, of zero for the
     # commutator and of the scalar 1 for the square.
     commutes = _close(audit.commutator_avg, 0.0).all(axis=1)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from bellcheck import scenarios
-from bellcheck.report import (Grid, _grid_keys, _items, _json_numbers, emit_csv,
+from bellcheck.report import (Grid, Section, _grid_keys, _json_numbers, emit_csv,
                               emit_table)
 from bellcheck.clifford import Multivector, render_rows
 from bellcheck.models import CHUNK, MeterModel, UpdateRule
@@ -144,6 +144,24 @@ def test_epr_scan_points_equal_to_12_digits_share_one_key():
     assert report.exact_results == last.exact_results
     assert report.to_json().count('"theta=1:model_scalar"') == 1
     assert emit_csv(report) == emit_csv(last)
+
+
+def test_epr_scan_repeated_labels_keep_numpy_columns_of_the_last_point():
+    # 11 angles from 1 to 1 + 1e-12, which all print as theta=1: each grid
+    # keeps one row, its columns still numpy arrays, holding the last point's values.
+    angles = closed_grid(1.0, 1.000000000001, 1e-13)
+    assert len(angles) == 11
+    report, last = run_epr_scan(angles), run_epr_scan(angles[-1:])
+    for name in ("exact_results", "qm_reference", "verdicts"):
+        grids = [[b for b in getattr(r, name).blocks if isinstance(b, Grid)] for r in (report, last)]
+        assert [len(g) for g in grids] == [1, 1]
+        (got,), (want,) = grids
+        assert got.labels == want.labels == ["theta=1"]
+        assert list(got.columns) == list(want.columns)
+        for field, column in got.columns.items():
+            assert isinstance(column, np.ndarray), field
+            assert column.dtype == want.columns[field].dtype
+            assert np.array_equal(column, want.columns[field]), field
 
 
 def test_epr_scan_rejects_empty_grid_and_bad_mode():
@@ -660,7 +678,7 @@ def _constraint_check_reports(draw):
         "constraint-check",
         pairs if as_dicts else [{"n_pairs": n}, pairs],
         {"commutator_violations": 0},
-        verdicts=(dict(_items(verdicts)) if as_dicts
+        verdicts=(dict(Section([verdicts])) if as_dicts
                   else [verdicts, {"normalization_violated_for_all": draw(st.booleans())}]),
     )
     return report, _plain(report)
