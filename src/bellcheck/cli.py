@@ -2,37 +2,26 @@
 
     bellcheck run <scenario> [FLAGS] [--seed S] [--format table|json|csv] [--out PATH]
 
-scenarios.REGISTRY lists each scenario/mode (the first mode listed is the
-default), the FLAGS it reads and its runner; WRITERS holds one writer per
---format.  Any other flag is a usage error (exit 2):
+README's CLI section documents the FLAGS each scenario/mode reads (from
+scenarios.REGISTRY, whose first mode is the default), their defaults,
+BELLCHECK_SEED, BLAS threading and the formats; any other flag is a usage
+error (exit 2).  WRITERS holds one writer per --format.
 
-    epr-scan [--mode original|anticorrelated]    --angles START:STOP:STEP
-    chsh                                         --samples N
-    sequential [--mode clifford]                 --flip-prob P
-    sequential --mode bell-static|bell-hemisphere  --samples N
-    three-particle                               (none)
-    update-rule-search                           --grid-step G
-    constraint-check                             --angles START:STOP:STEP
-    bell-toy                                     --samples N
-
-Exit codes: 0 when every gated verdict holds (the documented behaviour,
-including the model failures the scenarios are built to demonstrate, was
-reproduced), 1 when some gated verdict differs, 2 for usage errors and
-invalid parameters (including non-finite angles, grids of more than
-1,000,000 points, --samples outside 10,000..10,000,000 other than chsh's 0,
-and running out of memory) and for internal errors, 3 when the report cannot
-be written by the one write loop that serves --out and stdout alike (a full
-disk, or a reader such as `| head` that closes the pipe early).  Identical
-invocations produce byte-identical output.
-BELLCHECK_SEED overrides the default seed when --seed is absent.  BLAS runs
-on one thread unless OPENBLAS_NUM_THREADS is set.  Angles are radians; CSV is
-comma-separated, UTF-8, LF.
+Exit codes: 0 when every gated verdict holds (the documented behaviour, the
+failures the models are built to show included, was reproduced), 1 when some
+gated verdict differs, 2 for usage errors, invalid parameters (non-finite
+angles, grids of more than 1,000,000 points, --samples outside
+10,000..10,000,000 other than chsh's 0), running out of memory and internal
+errors, 3 when the one write loop that serves --out and stdout alike fails (a
+full disk, or a reader such as `| head` that closes the pipe early).
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -40,6 +29,8 @@ import sys
 # Set before numpy is first imported: the only BLAS calls, (k, 3) @ (3,) and 4x4
 # products, are too small to use the thread pool OpenBLAS would start.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if __name__ == "__main__":
+    gc.disable()  # until entry(): the import graph below lives until exit
 
 from . import scenarios
 from .report import emit_csv, emit_table
@@ -190,5 +181,14 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if passed else 1
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Exit with main()'s code, the imports frozen out of every collection (the
+    run's own objects keep the collector).  The console script imports this
+    module before calling in, so it saves only the interpreter's exit passes."""
+    gc.freeze()
+    gc.enable()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

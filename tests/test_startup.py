@@ -1,6 +1,7 @@
 """The package's start-up contract: `import bellcheck` loads its modules on
 first use and leaves BLAS threading alone; the CLI runs BLAS on one thread
-unless OPENBLAS_NUM_THREADS is set."""
+unless OPENBLAS_NUM_THREADS is set; only a CLI process freezes its imports
+out of garbage collection, and it still exits cleanly."""
 
 import importlib
 import os
@@ -34,10 +35,13 @@ EXPORTS = {
 SUBMODULES = ["clifford", "models", "quantum", "scenarios", "report"]
 
 
+def child_env(**env: str) -> dict[str, str]:
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**base, **env, "PYTHONPATH": SRC}
+
+
 def run_python(code: str, **env: str) -> str:
-    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    child_env.update(env, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, "-c", code], env=child_env, check=True,
+    return subprocess.run([sys.executable, "-c", code], env=child_env(**env), check=True,
                           capture_output=True, text=True, timeout=60).stdout.strip()
 
 
@@ -50,6 +54,27 @@ def test_cli_sets_one_blas_thread_unless_set(preset, expected):
     env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
     code = "import os, bellcheck.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert run_python(code, **env) == expected
+
+
+def test_cli_import_leaves_the_collector_alone():
+    code = "import gc, bellcheck.cli; print(gc.isenabled(), gc.get_freeze_count())"
+    assert run_python(code) == "True 0"
+
+
+def test_cli_process_exits_cleanly_in_dev_mode(tmp_path):
+    # Dev mode prints any ResourceWarning or unraisable exception that a
+    # finaliser skipped by the frozen collector would raise at exit.
+    def bellcheck(*args: str) -> bytes:
+        done = subprocess.run([sys.executable, "-X", "dev", "-m", "bellcheck.cli", "run", *args],
+                              env=child_env(), cwd=tmp_path, capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b""), args
+        return done.stdout
+
+    assert bellcheck("epr-scan", "--format", "json").startswith(b"{")
+    assert bellcheck("chsh", "--samples", "10000").endswith(b"gate: PASS\n")
+    report = bellcheck("three-particle", "--format", "json")
+    assert bellcheck("three-particle", "--format", "json", "--out", "report.json") == b""
+    assert (tmp_path / "report.json").read_bytes() == report
 
 
 def test_import_leaves_blas_threads_unset():
