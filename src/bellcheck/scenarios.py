@@ -79,17 +79,14 @@ def _within(m: McResult, reference: float, upper: bool = False) -> bool:
     return bool(m.estimate <= reference + bound if upper else abs(m.estimate - reference) <= bound)
 
 
-def _parallel_pairs(parameters: Section, groups: list[str]) -> np.ndarray:
-    """Whether a and b of each "pair[i]" group are parallel or antiparallel,
-    i.e. every commutator coefficient 2(a x b)_k is within EXACT_TOL of zero.
-    Reads the 12-digit pair texts parameters["pair[i]"] in one bulk parse,
-    straight from a dict block holding them all if there is one; that
-    rounding is the one approximation in the gate designations."""
-    block = next((b for b in parameters.blocks
-                  if isinstance(b, dict) and all(map(b.__contains__, groups))), parameters)
-    text = " ".join(map(block.__getitem__, groups)).translate(str.maketrans("", "", "ab=();"))
-    a, b = np.array(text.split(), dtype=float).reshape(-1, 2, 3).transpose(1, 0, 2)
-    return _close(2.0 * np.cross(a, b), 0.0).all(axis=1)
+def _parallel_pairs(parameters: Section, groups: list[str]):
+    """The "parallel" flag that each "pair[i]" group records: the column of
+    the grid of exactly these groups if there is one, else each group's own
+    "pair[i]:parallel" entry."""
+    for block in parameters.blocks:
+        if isinstance(block, Grid) and "parallel" in block.columns and block.labels == groups:
+            return block.columns["parallel"]
+    return [parameters[f"{g}:parallel"] for g in groups]
 
 
 class Variant(NamedTuple):
@@ -673,24 +670,23 @@ def run_constraint_check(direction_pairs) -> ScenarioReport:
         raise ValueError(f"expected an (N, 2, 3) array of direction pairs, got shape {pairs.shape}")
 
     meter = MeterModel()
-    audit = batch_constraint_check(meter, meter, *pairs.transpose(1, 0, 2))
+    a, b = pairs.transpose(1, 0, 2)
+    audit = batch_constraint_check(meter, meter, a, b)
     # Every coefficient within EXACT_TOL, row by row, of zero for the
     # commutator and of the scalar 1 for the square.
     commutes = _close(audit.commutator_avg, 0.0).all(axis=1)
     normalized_ok = _close(audit.square_avg, ONE.coeffs).all(axis=1)
 
     groups = [f"pair[{i}]" for i in range(len(pairs))]
-    # The %.12g text of each coordinate; a column of one bit pattern goes into the form once.
-    flat = pairs.reshape(-1, 6)
-    columns = list(zip(flat.T.tolist(), (flat.view(np.int64) == flat[0].view(np.int64)).all(axis=0)))
-    form = "a=(%s; %s; %s) b=(%s; %s; %s)" % tuple(
-        "%.12g" % column[0] if same else "%.12g" for column, same in columns)
-    pair_texts = ([form % row for row in zip(*(column for column, same in columns if not same))]
-                  or [form] * len(pairs))
+    # a and b as grade-1 coefficients, and whether they are parallel or
+    # antiparallel: every coefficient 2(a x b)_k within EXACT_TOL of zero.
+    a_rows, b_rows = np.pad((a, b), ((0, 0), (0, 0), (1, 4)))
+    parallel = _close(2.0 * np.cross(a, b), 0.0).all(axis=1)
     return ScenarioReport(
         scenario_name="constraint-check",
         parameters=[{"meter_a_def_sign": meter.def_sign, "meter_b_def_sign": meter.def_sign,
-                     "n_pairs": len(pairs)}, dict(zip(groups, pair_texts))],
+                     "n_pairs": len(pairs)},
+                    Grid(groups, {"a": a_rows, "b": b_rows, "parallel": parallel})],
         exact_results=[Grid(groups, {"commutator": audit.commutator_avg,
                                      "commutator_norm": row_norms(audit.commutator_avg),
                                      "square": audit.square_avg,

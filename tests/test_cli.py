@@ -559,10 +559,7 @@ def test_cli_contract_holds_on_boundary_values(capsys, invocation):
 # Each deterministic variant, with flags drawn from the domains README
 # documents, must exit 0: none of these runs samples, so exit 1 would be a
 # false alarm.  Grids are kept to at most 2,001 points so that the runs stay
-# fast; the documented cap is MAX_GRID_POINTS.  constraint-check is left out:
-# its gate designates parallel pairs from the 12-digit pair text while the
-# verdict comes from full precision, so a pair at the EXACT_TOL boundary
-# exits 1 (pinned below as an expected failure).
+# fast; the documented cap is MAX_GRID_POINTS.
 _MAX_DRAWN_POINTS = 2_001
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -585,6 +582,7 @@ _DOMAIN_FLAGS = {
     ("update-rule-search", None): {"--grid-step": st.floats(
         1.0 / (_MAX_DRAWN_POINTS - 1), 0.1).map(repr)},
     ("three-particle", None): {},
+    ("constraint-check", None): {"--angles": _angles()},
 }
 
 
@@ -601,10 +599,10 @@ def _domain_invocations(draw):
     return args + (["--seed", seed] if seed else []) + (["--format", fmt] if fmt else [])
 
 
-def test_domain_flags_cover_every_deterministic_variant_but_constraint_check():
+def test_domain_flags_cover_every_deterministic_variant():
     deterministic = {key for key, variant in scenarios.REGISTRY.items()
                      if "--samples" not in variant.flags}
-    assert set(_DOMAIN_FLAGS) == deterministic - {("constraint-check", None)}
+    assert set(_DOMAIN_FLAGS) == deterministic
     for key, flags in _DOMAIN_FLAGS.items():
         assert {*flags, "--mode"} >= set(scenarios.REGISTRY[key].flags)
 
@@ -614,6 +612,7 @@ def test_domain_flags_cover_every_deterministic_variant_but_constraint_check():
 @given(args=_domain_invocations())
 @example(args=["update-rule-search", "--grid-step", "0.03"])
 @example(args=["epr-scan", "--angles", "1:1.000000000001:1e-13", "--format", "csv"])
+@example(args=["constraint-check", "--angles", "4.9999999999999e-13:5.0000000000001e-13:1e-26"])
 def test_deterministic_variants_exit_0_across_their_domains(capsys, args, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     capsys.readouterr()
@@ -623,10 +622,8 @@ def test_deterministic_variants_exit_0_across_their_domains(capsys, args, monkey
     assert captured.out
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND in CHANGES.md: scenarios._parallel_pairs designates constraint-check pairs "
-    "parallel from the 12-digit pair text, so at the EXACT_TOL boundary the gate "
-    "raises a false alarm"))
+# 2 sin(theta) is just over EXACT_TOL here: the pair is not parallel, and
+# its commutator misses, as the gate designates.
 def test_constraint_check_exits_0_at_the_tolerance_boundary(capsys, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     code = exit_code(["constraint-check", "--angles", "5.00000000000004e-13:5.00000000000004e-13:1"])

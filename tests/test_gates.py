@@ -61,6 +61,9 @@ READ_BACK = {
         "epr-scan", "--mode", "anticorrelated", "--angles", "0:1e-3:2.5e-4"),
     "constraint-check-grid": ("constraint-check", "--angles=-3.2:3.2:0.4"),
     "constraint-check-near-parallel": ("constraint-check", "--angles", "0:6e-13:2e-13"),
+    "constraint-check-31416": ("constraint-check", "--angles", "0:3.14159:0.0001"),
+    "constraint-check-boundary": (
+        "constraint-check", "--angles", "5.00000000000004e-13:5.00000000000004e-13:1"),
     "update-rule-search-1e-5": ("update-rule-search", "--grid-step", "1e-5"),
 }
 
@@ -109,28 +112,81 @@ def large_constraint_check() -> ScenarioReport:
     return _report(("constraint-check", "--angles", "0:3.14159:0.0001"))
 
 
-def test_parallel_designation_parses_the_31416_pair_texts_as_floats(large_constraint_check):
+def test_parallel_designation_reads_the_recorded_column_of_31416_pairs(large_constraint_check):
     parameters = large_constraint_check.parameters
     groups = [f"pair[{i}]" for i in range(parameters["n_pairs"])]
     assert len(groups) == 31_416
-    text = " ".join(parameters[g] for g in groups).translate(str.maketrans("", "", "ab=();"))
-    a, b = np.array(text.split(), dtype=float).reshape(-1, 2, 3).transpose(1, 0, 2)
+    a, b = scenarios.xz_scan(scenarios.closed_grid(0.0, 3.14159, 0.0001)).transpose(1, 0, 2)
+    (pairs,) = [block for block in parameters.blocks if "parallel" in getattr(block, "columns", ())]
+    assert pairs.columns["a"][:, 1:4].tobytes() == a.tobytes()
+    assert pairs.columns["b"][:, 1:4].tobytes() == b.tobytes()
     want = (np.abs(2.0 * np.cross(a, b)) <= scenarios.EXACT_TOL).all(axis=1)
     got = scenarios._parallel_pairs(parameters, groups)
-    assert got.tolist() == want.tolist()
+    assert np.asarray(got).tolist() == want.tolist()
     assert np.flatnonzero(got).tolist() == [0]  # theta = 0 alone; the grid stops short of pi
 
 
-@pytest.mark.parametrize("pair, mangled", [
-    (17_000, "a=(0; 0; 1) b=(0.96x1; 0; -0.27)"),  # a letter inside a number
-    (31_415, "a=(0; 0; 1) b=(0.5; 0)"),  # a coordinate missing
-    (0, ""),
-])
-def test_a_mangled_pair_text_read_back_makes_the_gate_raise(large_constraint_check, pair, mangled):
-    data = large_constraint_check.to_json_dict()
-    data["parameters"][f"pair[{pair}]"] = mangled
-    with pytest.raises(ValueError):
-        ScenarioReport.from_json_dict(data).gate_passed()
+@pytest.fixture(scope="module")
+def large_constraint_check_json(large_constraint_check) -> dict:
+    return large_constraint_check.to_json_dict()
+
+
+def _with_parameters(data: dict, edit) -> ScenarioReport:
+    """The report of `data` with edit() applied to a copy of its parameters."""
+    parameters = dict(data["parameters"])
+    edit(parameters)
+    return ScenarioReport.from_json_dict({**data, "parameters": parameters})
+
+
+@pytest.mark.parametrize("pair", [0, 17_000, 31_415])
+def test_a_flipped_parallel_flag_read_back_fails_the_gate(large_constraint_check_json, pair):
+    key = f"pair[{pair}]:parallel"
+
+    def flip(parameters):
+        parameters[key] = not parameters[key]
+    assert not _with_parameters(large_constraint_check_json, flip).gate_passed()
+
+
+@pytest.mark.parametrize("pair", [0, 17_000, 31_415])
+def test_a_deleted_parallel_flag_read_back_makes_the_gate_raise(large_constraint_check_json, pair):
+    report = _with_parameters(large_constraint_check_json,
+                              lambda parameters: parameters.pop(f"pair[{pair}]:parallel"))
+    with pytest.raises(KeyError):
+        report.gate_passed()
+
+
+def _near_parallel_pairs(n: int, seed: int) -> np.ndarray:
+    """(a, b) pairs: a uniform on the sphere, b = a + eps renormalised with
+    |eps| log-uniform in [1e-14, 1e-11], less the rows of a or b whose norm
+    is not within 1e-12 of 1."""
+    rng = np.random.default_rng(seed)
+    a, eps = (v / np.linalg.norm(v, axis=1)[:, None] for v in rng.standard_normal((2, n, 3)))
+    b = a + eps * 10.0 ** rng.uniform(-14.0, -11.0, (n, 1))
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    pairs = np.stack([a, b], axis=1)
+    return pairs[(np.abs(np.linalg.norm(pairs, axis=2) - 1.0) <= 1e-12).all(axis=1)]
+
+
+def test_nearly_parallel_general_pairs_gate_true():
+    # Designated from 12-digit coordinates, 2,240 of these pairs would gate
+    # against their full-precision verdict.
+    pairs = _near_parallel_pairs(20_000, seed=2024)
+    assert len(pairs) > 19_000
+    report = scenarios.run_constraint_check(pairs)
+    commutes = report.verdicts.blocks[0].columns["commutator_zero"]
+    assert 0 < np.count_nonzero(commutes) < len(pairs)  # both sides of the tolerance
+    assert report.gate_passed()
+    assert _read_back(report).gate_passed()
+
+
+def test_xz_pairs_within_2000_ulps_of_the_tolerance_boundary_gate_true():
+    # 2 sin(theta) crosses EXACT_TOL = 1e-12 near theta = 5e-13.
+    angles = 5e-13 + np.spacing(5e-13) * np.arange(-2000, 2001)
+    report = scenarios.run_constraint_check(scenarios.xz_scan(angles.tolist()))
+    commutes = report.verdicts.blocks[0].columns["commutator_zero"]
+    assert commutes[0] and not commutes[-1]
+    assert report.gate_passed()
+    assert _read_back(report).gate_passed()
 
 
 # -- bounded CLI fuzz --------------------------------------------------------

@@ -1,7 +1,8 @@
 """tools/parity_corpus.txt names every registry variant in every format,
 the help text, sample counts that straddle the lambda chunk, the three
-seeded Monte Carlo false alarms and an update-rule-search grid step that
-puts no grid point on p = 1/2.  The parity tool itself is not run here:
+seeded Monte Carlo false alarms, a constraint-check pair at the EXACT_TOL
+boundary and an update-rule-search grid step that puts no grid point on
+p = 1/2.  The parity tool itself is not run here:
 it starts two processes per line."""
 
 import importlib.util
@@ -55,6 +56,11 @@ def test_corpus_runs_every_variant_in_every_format(corpus, monkeypatch, capsys):
 @pytest.mark.parametrize("alarm", FALSE_ALARMS)
 def test_corpus_holds_each_false_alarm(corpus, alarm):
     assert any(not env and " ".join(args).startswith(alarm) for env, args in corpus)
+
+
+def test_corpus_holds_the_tolerance_boundary_pair(corpus):
+    assert ({}, ["constraint-check", "--angles", "5.00000000000004e-13:5.00000000000004e-13:1"]
+            ) in corpus
 
 
 @pytest.mark.parametrize("variant", MC_VARIANTS)

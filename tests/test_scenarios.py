@@ -421,13 +421,17 @@ def test_constraint_check_takes_pairs_or_an_array():
     assert run_constraint_check(pairs).to_json() == run_constraint_check(np.array(pairs)).to_json()
 
 
-def test_constraint_check_pair_texts_keep_each_zero_sign():
-    # A coordinate column is written once only when it holds one bit
-    # pattern, so 0.0 and -0.0 in one column each keep their text.
-    b = [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0)]
-    report = run_constraint_check([(EZ, v) for v in b])
-    assert [report.parameters[f"pair[{i}]"] for i in range(3)] == [
-        "a=(0; 0; 1) b=(0; 0; 1)", "a=(0; 0; 1) b=(-0; 0; 1)", "a=(0; 0; 1) b=(0; -0; 1)"]
+def test_constraint_check_zero_signs_give_the_same_flags_and_gate():
+    # Every zero coordinate of a and b as 0.0, then as -0.0: the same directions.
+    pairs = np.array([(EZ, EZ), (EZ, (0.0, 0.0, -1.0)), (EZ, (1.0, 0.0, 0.0)),
+                      ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0))])
+    reports = [run_constraint_check(p) for p in (pairs, np.where(pairs == 0.0, -0.0, pairs))]
+    groups = [f"pair[{i}]" for i in range(len(pairs))]
+    assert [scenarios._parallel_pairs(r.parameters, groups).tolist() for r in reports] == [
+        [True, True, False, False]] * 2
+    assert reports[0].expected == reports[1].expected
+    assert [r.gate_passed() for r in reports] == [True, True]
+    assert reports[0].to_json() == reports[1].to_json()
 
 
 def test_xz_scan_is_ez_with_the_dirs_xz_rows():
@@ -532,6 +536,15 @@ def test_render_rows_of_one_live_blade_match_render(blade):
               [0.0] * 8]),
 ], ids=["zeros", "empty", "several-blades"])
 def test_render_rows_of_zero_and_several_blade_arrays_match_render(coeffs):
+    assert render_rows(coeffs) == _rendered(coeffs)
+
+
+@given(st.lists(st.sampled_from(_SPECIAL) | _FLOATS, min_size=8, max_size=8), st.integers(2, 4))
+def test_render_rows_of_a_repeated_row_match_render(row, n):
+    # Rows of one bit pattern are rendered once; a zero's sign changes the pattern, not the text.
+    coeffs = np.array([row] * n, dtype=float)
+    assert render_rows(coeffs) == _rendered(coeffs)
+    coeffs[-1][coeffs[-1] == 0.0] *= -1.0
     assert render_rows(coeffs) == _rendered(coeffs)
 
 
@@ -664,19 +677,22 @@ def _reports(draw):
 @st.composite
 def _constraint_check_reports(draw):
     """constraint-check shaped reports, whose commutator_zero designation
-    reads the pair text of each group from the parameters."""
+    reads the parallel flag of each group from the parameters: from a grid
+    over the verdicts' labels, or key by key from one in another order."""
     n = draw(st.integers(1, 4))
     labels = [f"pair[{i}]" for i in range(n)]
-    vectors = st.sampled_from([0.0, 1.0, -1.0, 0.6, 2e-13, -4e-13])
-    texts = ["a=(%.12g; %.12g; %.12g) b=(%.12g; %.12g; %.12g)" % tuple(draw(st.lists(
-        vectors, min_size=6, max_size=6))) for _ in labels]
-    pairs = dict(zip(labels, texts))
+    coordinates = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.6, 2e-13, -4e-13])
+    directions = np.zeros((2, n, 8))
+    directions[..., 1:4] = np.reshape(draw(st.lists(coordinates, min_size=6 * n, max_size=6 * n)),
+                                      (2, n, 3))
+    pairs = Grid(draw(st.permutations(labels)), {"a": directions[0], "b": directions[1],
+                                                 "parallel": _column(draw, n, True)})
     verdicts = Grid(labels, {f: _column(draw, n, True)
                              for f in ("commutator_zero", "normalization_holds")})
     as_dicts = draw(st.booleans())
     report = ScenarioReport(
         "constraint-check",
-        pairs if as_dicts else [{"n_pairs": n}, pairs],
+        dict(Section([pairs])) if as_dicts else [{"n_pairs": n}, pairs],
         {"commutator_violations": 0},
         verdicts=(dict(Section([verdicts])) if as_dicts
                   else [verdicts, {"normalization_violated_for_all": draw(st.booleans())}]),
