@@ -46,7 +46,7 @@ TEXT_DIGESTS = {
     "table": {
         "bell-toy": "13f592b452db3f0dea424c817fa0104ec44f4b7e8c3fef776e0b5079c650ecb3",
         "chsh": "a8dd1572e4f66775e1ebec111a5edb32122de5118e4695a434b94831905fdd03",
-        "constraint-check": "cf8875c0b050e98e8773f4548d4e0369d3e3061c23701041f7bdf40e3260c652",
+        "constraint-check": "aaaaeb6d90a0d877747f4c554819372b03f16ce9c08c48535eef1c954050c0ac",
         "epr-scan-anticorrelated": "0e74a2b3dff4a27f3aacb1574cf8eba6d5d2b961d3da063b2991c20182f392f6",
         "epr-scan-original": "a59b69d89a2379b88ba24a1dac7c26132cc2d2f8e297f85e33fc05390ee050c8",
         "sequential-bell-hemisphere": "18f3641ec74844eeb80a753b40a9fd3d78eef99ca00bf0789cc008f53f005858",
@@ -118,13 +118,13 @@ def test_large_grid_output_hash(name, tmp_path):
     assert hashlib.sha256(_run(args, tmp_path)).hexdigest() == digest
 
 
-# One-point grids, where every column (each pair coordinate, each blade of
-# each coefficient array) holds one bit pattern.  Each runs in a child with
+# One-point grids, where every column (each blade of each coefficient
+# array, the directions a and b among them) holds one bit pattern.  Each runs in a child with
 # a timeout, so a writer that loops without end fails instead of hanging.
 CONSTANT_GRID_DIGESTS = {
     ("constraint-check", "csv"): "8d42267f265378a88c8982a9993bcc97c166fd39c36628bc096bbb0e05648f4d",
-    ("constraint-check", "json"): "1c12a8873a53967e65a6d22bb7b5b78e40ad671561e4d130f953e3ab835edd27",
-    ("constraint-check", "table"): "d7cbcaa38cb270b906adb0632145780ece15a84c4cc12e034411dc149a050dd9",
+    ("constraint-check", "json"): "bb4ddf976d2ab864b23bc95acb04a1e8253f982e605d221f05df749dde91f4d8",
+    ("constraint-check", "table"): "8915bf262ee74cdf1aecb527898685e950d663e4269ac49b04a31a1b3394b6a8",
     ("epr-scan", "csv"): "0a9b40f2c2484f31a956c5739d7c1c8a9e603f23eec3ceb20260a8a0554cd442",
     ("epr-scan", "json"): "51f4c217d6874f4a23d790734edcb9dc1c14dc859c1ab37ed3f52ef03cd793b6",
     ("epr-scan", "table"): "05920872d273185febc4dbad3cb054f7645ece8a7da7e60ee9f192ca78cca1b1",
