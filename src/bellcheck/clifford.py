@@ -199,10 +199,7 @@ def batch_product(x, y, product: str = "geometric") -> np.ndarray:
 def render_rows(coeffs: np.ndarray) -> list[str]:
     """Multivector.render() of each row of an (N, 8) coefficient array: the
     nonzero "<|coeff|>·<blade>" terms in basis order, 12 significant digits,
-    joined by " + " or " - ", the first signed "-" if negative; "0" for none.
-    Rows of one bit pattern are rendered once."""
-    if len(coeffs) > 1 and (coeffs.view(np.int64) == coeffs[:1].view(np.int64)).all():
-        return render_rows(coeffs[:1]) * len(coeffs)
+    joined by " + " or " - ", the first signed "-" if negative; "0" for none."""
     live = [(coeffs[:, k].tolist(), BASIS_LABELS[k]) for k in np.flatnonzero(coeffs.any(axis=0))]
     if len(live) == 1:
         form = "%.12g·" + live[0][1]

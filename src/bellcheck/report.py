@@ -178,10 +178,13 @@ def _grid_texts(grid: Grid, text: Callable, numbers: Callable, quote: Callable) 
     """Field -> text of each value in its column: numbers(list) of a float
     array, "true"/"false" of a bool mask, quote() of each row a coefficient
     array renders, text() of anything else.  A column that several fields
-    share is formatted once."""
+    share, or a float column of one bit pattern, is formatted once."""
     def texts(column) -> list[str]:
         if not isinstance(column, np.ndarray):
             return list(map(text, column))
+        if column.dtype == np.float64 and len(column) > 1 and (
+                column.view(np.int64) == column[:1].view(np.int64)).all():
+            return texts(column[:1]) * len(column)
         if column.ndim == 2:
             return list(map(quote, render_rows(column)))
         if column.dtype == bool:

@@ -79,7 +79,7 @@ def _within(m: McResult, reference: float, upper: bool = False) -> bool:
     return bool(m.estimate <= reference + bound if upper else abs(m.estimate - reference) <= bound)
 
 
-def _parallel_pairs(parameters: Section, groups: list[str]):
+def _parallel_pairs(parameters: Section, groups: list[str]) -> np.ndarray | list:
     """The "parallel" flag that each "pair[i]" group records: the column of
     the grid of exactly these groups if there is one, else each group's own
     "pair[i]:parallel" entry."""

@@ -141,10 +141,9 @@ def _with_parameters(data: dict, edit) -> ScenarioReport:
 @pytest.mark.parametrize("pair", [0, 17_000, 31_415])
 def test_a_flipped_parallel_flag_read_back_fails_the_gate(large_constraint_check_json, pair):
     key = f"pair[{pair}]:parallel"
-
-    def flip(parameters):
-        parameters[key] = not parameters[key]
-    assert not _with_parameters(large_constraint_check_json, flip).gate_passed()
+    report = _with_parameters(large_constraint_check_json,
+                              lambda parameters: parameters.update({key: not parameters[key]}))
+    assert not report.gate_passed()
 
 
 @pytest.mark.parametrize("pair", [0, 17_000, 31_415])

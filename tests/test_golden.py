@@ -119,8 +119,9 @@ def test_large_grid_output_hash(name, tmp_path):
 
 
 # One-point grids, where every column (each blade of each coefficient
-# array, the directions a and b among them) holds one bit pattern.  Each runs in a child with
-# a timeout, so a writer that loops without end fails instead of hanging.
+# array, the directions a and b among them) holds one bit pattern.  Each
+# runs in a child with a timeout, so a writer that loops without end fails
+# instead of hanging.
 CONSTANT_GRID_DIGESTS = {
     ("constraint-check", "csv"): "8d42267f265378a88c8982a9993bcc97c166fd39c36628bc096bbb0e05648f4d",
     ("constraint-check", "json"): "bb4ddf976d2ab864b23bc95acb04a1e8253f982e605d221f05df749dde91f4d8",

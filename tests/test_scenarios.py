@@ -539,15 +539,6 @@ def test_render_rows_of_zero_and_several_blade_arrays_match_render(coeffs):
     assert render_rows(coeffs) == _rendered(coeffs)
 
 
-@given(st.lists(st.sampled_from(_SPECIAL) | _FLOATS, min_size=8, max_size=8), st.integers(2, 4))
-def test_render_rows_of_a_repeated_row_match_render(row, n):
-    # Rows of one bit pattern are rendered once; a zero's sign changes the pattern, not the text.
-    coeffs = np.array([row] * n, dtype=float)
-    assert render_rows(coeffs) == _rendered(coeffs)
-    coeffs[-1][coeffs[-1] == 0.0] *= -1.0
-    assert render_rows(coeffs) == _rendered(coeffs)
-
-
 @given(st.lists(st.lists(st.sampled_from(_SPECIAL) | _FLOATS, min_size=8, max_size=8),
                 max_size=5))
 def test_render_rows_match_render(rows):
@@ -721,6 +712,22 @@ def test_block_writers_match_the_dict_path_reference(case):
                    oracles.ref_gate_passed(plain))
     assert report.expected == {name: want for name, want in zip(
         plain.verdicts, oracles.ref_designations(plain)) if want is not scenarios.INFO}
+
+
+@given(st.lists(st.sampled_from(_SPECIAL) | _FLOATS, min_size=8, max_size=8), st.integers(2, 4),
+       st.booleans())
+def test_writers_format_a_float_column_of_one_bit_pattern_as_each_value(row, n, flip_zeros):
+    # Such a column is formatted once; a zero's sign changes the pattern, not the text.
+    coeffs = np.array([row] * n, dtype=float)
+    if flip_zeros:
+        coeffs[-1][coeffs[-1] == 0.0] *= -1.0
+    labels = [f"p={i}" for i in range(n)]
+    report = ScenarioReport("s", [Grid(labels, {"v": coeffs, "x": coeffs[:, 0]})],
+                            [Grid(labels, {"v": coeffs, "x": coeffs[:, 7]})])
+    plain = _plain(report)
+    assert report.to_json() == oracles.ref_report_json(plain)
+    assert emit_csv(report) == oracles.ref_emit_csv(plain)
+    assert emit_table(report, report.gate_passed()) == oracles.ref_emit_table(plain)
 
 
 # -- streamed Monte Carlo -------------------------------------------------
