@@ -167,8 +167,8 @@ def _near_parallel_pairs(n: int, seed: int) -> np.ndarray:
 
 
 def test_nearly_parallel_general_pairs_gate_true():
-    # Designated from 12-digit coordinates, 2,240 of these pairs would gate
-    # against their full-precision verdict.
+    # Rounded to 12 significant digits, the coordinates would designate
+    # 2,240 of these pairs against their full-precision verdict.
     pairs = _near_parallel_pairs(20_000, seed=2024)
     assert len(pairs) > 19_000
     report = scenarios.run_constraint_check(pairs)
